@@ -4,6 +4,25 @@
 
 namespace lion {
 
+namespace {
+
+// Removes the suffix entries matching `fold` (keeping the rest in order) and
+// appends their keys to `out`.
+template <typename Entries, typename Pred>
+void FoldSuffix(Entries* suffix, Pred fold, std::vector<Key>* out) {
+  auto keep = suffix->begin();
+  for (auto it = suffix->begin(); it != suffix->end(); ++it) {
+    if (fold(*it)) {
+      out->push_back(it->key);
+    } else {
+      *keep++ = *it;
+    }
+  }
+  suffix->erase(keep, suffix->end());
+}
+
+}  // namespace
+
 RecoveryLog::RecoveryLog(Simulator* sim, const RecoveryConfig& config,
                          int num_nodes, int num_partitions)
     : sim_(sim),
@@ -34,7 +53,7 @@ void RecoveryLog::PushMark(NodeId node, PartitionId pid, Lsn lsn) {
 
 void RecoveryLog::AppendCommit(NodeId node, PartitionId pid, Key key, Lsn lsn) {
   history_[static_cast<size_t>(pid)].suffix.push_back(
-      Entry{node, key, lsn, sim_->Now()});
+      Entry{node, key, sim_->Now()});
   entries_appended_++;
   PushMark(node, pid, lsn);
 }
@@ -66,68 +85,67 @@ void RecoveryLog::Crash(NodeId node, bool dirty) {
                    np.marks.end());
   }
   for (PartitionHistory& h : history_) {
-    auto lost_begin = std::stable_partition(
-        h.suffix.begin(), h.suffix.end(), [node, horizon](const Entry& e) {
-          return e.node != node || e.at <= horizon;
-        });
-    for (auto it = lost_begin; it != h.suffix.end(); ++it) {
-      h.lost_entries++;
-      h.lost_writes[it->key]++;
-    }
-    h.suffix.erase(lost_begin, h.suffix.end());
+    FoldSuffix(
+        &h.suffix,
+        [node, horizon](const Entry& e) {
+          return e.node == node && e.at > horizon;
+        },
+        &h.lost_keys);
   }
 }
 
-void RecoveryLog::SnapshotNode(NodeId node) {
+void RecoveryLog::FoldMarks(NodeId node) {
   for (NodePartition& np : nodes_[static_cast<size_t>(node)]) {
     if (!np.marks.empty()) {
       np.snapshot_lsn = std::max(np.snapshot_lsn, np.marks.back().lsn);
       np.marks.clear();
     }
   }
+}
+
+void RecoveryLog::SnapshotNode(NodeId node) {
+  FoldMarks(node);
   for (PartitionHistory& h : history_) {
-    auto keep_end = std::stable_partition(
-        h.suffix.begin(), h.suffix.end(),
-        [node](const Entry& e) { return e.node != node; });
-    for (auto it = keep_end; it != h.suffix.end(); ++it) {
-      h.snapshot_entries++;
-      h.snapshot_writes[it->key]++;
-    }
-    h.suffix.erase(keep_end, h.suffix.end());
+    FoldSuffix(
+        &h.suffix, [node](const Entry& e) { return e.node == node; },
+        &h.snapshot_keys);
   }
   snapshots_taken_++;
 }
 
 void RecoveryLog::SnapshotAll() {
   for (NodeId n = 0; n < static_cast<NodeId>(nodes_.size()); ++n) {
-    SnapshotNode(n);
+    FoldMarks(n);
+    snapshots_taken_++;
+  }
+  // Every suffix entry lives on some node's log, so folding all nodes folds
+  // the whole suffix.
+  for (PartitionHistory& h : history_) {
+    for (const Entry& e : h.suffix) h.snapshot_keys.push_back(e.key);
+    h.suffix.clear();
   }
 }
 
 uint64_t RecoveryLog::total_lost_entries() const {
   uint64_t total = 0;
-  for (const PartitionHistory& h : history_) total += h.lost_entries;
+  for (const PartitionHistory& h : history_) total += h.lost_keys.size();
   return total;
 }
 
 uint64_t RecoveryLog::DurableEntries(PartitionId pid) const {
   const PartitionHistory& h = history_[static_cast<size_t>(pid)];
-  return h.snapshot_entries + h.suffix.size();
+  return h.snapshot_keys.size() + h.suffix.size();
 }
 
 uint64_t RecoveryLog::LostEntries(PartitionId pid) const {
-  return history_[static_cast<size_t>(pid)].lost_entries;
+  return history_[static_cast<size_t>(pid)].lost_keys.size();
 }
 
 uint64_t RecoveryLog::WriteCount(PartitionId pid, Key key) const {
   const PartitionHistory& h = history_[static_cast<size_t>(pid)];
-  uint64_t count = 0;
-  if (auto it = h.snapshot_writes.find(key); it != h.snapshot_writes.end()) {
-    count += it->second;
-  }
-  if (auto it = h.lost_writes.find(key); it != h.lost_writes.end()) {
-    count += it->second;
-  }
+  uint64_t count =
+      std::count(h.snapshot_keys.begin(), h.snapshot_keys.end(), key) +
+      std::count(h.lost_keys.begin(), h.lost_keys.end(), key);
   for (const Entry& e : h.suffix) {
     if (e.key == key) count++;
   }
@@ -137,8 +155,9 @@ uint64_t RecoveryLog::WriteCount(PartitionId pid, Key key) const {
 std::unordered_map<Key, uint64_t> RecoveryLog::ReconstructWrites(
     PartitionId pid) const {
   const PartitionHistory& h = history_[static_cast<size_t>(pid)];
-  std::unordered_map<Key, uint64_t> counts = h.snapshot_writes;
-  for (const auto& kv : h.lost_writes) counts[kv.first] += kv.second;
+  std::unordered_map<Key, uint64_t> counts;
+  for (Key k : h.snapshot_keys) counts[k]++;
+  for (Key k : h.lost_keys) counts[k]++;
   for (const Entry& e : h.suffix) counts[e.key]++;
   return counts;
 }

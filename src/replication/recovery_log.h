@@ -14,7 +14,9 @@
 // The log doubles as the integrity checker's accounting source: per
 // partition, snapshot entries + live suffix + entries lost to dirty crashes
 // must add up to the group's primary LSN, and the per-key write counts must
-// reconstruct the commit ledger's effects.
+// reconstruct the commit ledger's effects. Folding (snapshot or dirty crash)
+// only appends the folded keys to flat per-partition lists; the per-key
+// counts are built on demand by ReconstructWrites / WriteCount.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +64,8 @@ class RecoveryLog {
   /// snapshot LSNs and its committed entries into the partition snapshots.
   /// Also forced by "truncate N" chaos schedule events.
   void SnapshotNode(NodeId node);
+  /// SnapshotNode for every node in one pass over each partition's suffix
+  /// (counts one snapshot per node). The periodic timer's body.
   void SnapshotAll();
 
   // --- integrity / reporting ------------------------------------------------
@@ -77,7 +81,8 @@ class RecoveryLog {
   /// tell "dropped by a dirty crash" from "never logged").
   uint64_t WriteCount(PartitionId pid, Key key) const;
   /// Full reconstructable per-key write-count map for `pid` (snapshot +
-  /// suffix + lost), built in one pass for the integrity checker.
+  /// suffix + lost), counted in one pass over the key lists for the
+  /// integrity checker.
   std::unordered_map<Key, uint64_t> ReconstructWrites(PartitionId pid) const;
 
  private:
@@ -91,22 +96,23 @@ class RecoveryLog {
   struct Entry {
     NodeId node = kInvalidNode;
     Key key = 0;
-    Lsn lsn = 0;
     SimTime at = 0;
   };
   struct NodePartition {
     Lsn snapshot_lsn = 0;
     std::vector<Mark> marks;  // ascending in time, LSNs nondecreasing
   };
+  /// One key per committed write: folded into the snapshot, still in the
+  /// live suffix, or lost to a dirty crash. List sizes are the entry counts.
   struct PartitionHistory {
-    uint64_t snapshot_entries = 0;
-    std::unordered_map<Key, uint64_t> snapshot_writes;
+    std::vector<Key> snapshot_keys;
     std::vector<Entry> suffix;
-    uint64_t lost_entries = 0;
-    std::unordered_map<Key, uint64_t> lost_writes;
+    std::vector<Key> lost_keys;
   };
 
   void PushMark(NodeId node, PartitionId pid, Lsn lsn);
+  /// Folds `node`'s durable marks into its per-partition snapshot LSNs.
+  void FoldMarks(NodeId node);
 
   Simulator* sim_;
   RecoveryConfig config_;

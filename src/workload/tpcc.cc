@@ -81,6 +81,8 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   int c = static_cast<int>(rng->Uniform(config_.customers_per_district));
   bool remote = config_.remote_ratio > 0.0 && rng->Bernoulli(config_.remote_ratio);
   PartitionId remote_w = remote ? RemoteWarehouse(w, rng) : w;
+  int lines = static_cast<int>(
+      rng->UniformRange(config_.min_order_lines, config_.max_order_lines));
 
   auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
                     bool insert = false) {
@@ -92,6 +94,7 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
     op.write_value = v;
     txn->ops().push_back(op);
   };
+  txn->ops().reserve(5 + 3 * static_cast<size_t>(lines));
 
   // Warehouse tax rate (read), district next_o_id (read-modify-write: the
   // classic contention point), customer discount (read).
@@ -103,8 +106,6 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   add(w, MakeKey(kOrder, id), OpType::kWrite, id, /*insert=*/true);
   add(w, MakeKey(kNewOrder, id), OpType::kWrite, id, /*insert=*/true);
 
-  int lines = static_cast<int>(
-      rng->UniformRange(config_.min_order_lines, config_.max_order_lines));
   for (int l = 0; l < lines; ++l) {
     uint64_t item = rng->Uniform(config_.items);
     // ITEM is replicated read-only: read it at the home warehouse.
@@ -141,6 +142,7 @@ TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
     op.write_value = v;
     txn->ops().push_back(op);
   };
+  txn->ops().reserve(4);
   // Warehouse and district YTD updates, customer balance update, history row.
   add(w, MakeKey(kWarehouse, 0), OpType::kWrite, id);
   add(w, MakeKey(kDistrict, d), OpType::kWrite, id);
@@ -167,6 +169,7 @@ TxnPtr TpccWorkload::DeliveryTxn(TxnId id, SimTime now, Rng* rng) {
     op.write_value = v;
     txn->ops().push_back(op);
   };
+  txn->ops().reserve(3 * static_cast<size_t>(config_.districts_per_warehouse));
   for (int d = 0; d < config_.districts_per_warehouse; ++d) {
     // The oldest undelivered order id is approximated by the district seed;
     // the NEW-ORDER delete and ORDER update are writes on per-txn keys.
@@ -193,6 +196,7 @@ TxnPtr TpccWorkload::OrderStatusTxn(TxnId id, SimTime now, Rng* rng) {
     op.type = OpType::kRead;
     txn->ops().push_back(op);
   };
+  txn->ops().reserve(7);
   add(w, MakeKey(kCustomer, d * config_.customers_per_district + c));
   add(w, MakeKey(kOrder, id));  // last order (approximated key)
   for (int l = 0; l < 5; ++l) add(w, MakeKey(kOrderLine, id * 16 + l));
@@ -213,6 +217,7 @@ TxnPtr TpccWorkload::StockLevelTxn(TxnId id, SimTime now, Rng* rng) {
     op.type = OpType::kRead;
     txn->ops().push_back(op);
   };
+  txn->ops().reserve(13);
   add(w, MakeKey(kDistrict, d));
   std::set<uint64_t> items;
   while (items.size() < 12) items.insert(rng->Uniform(config_.items));

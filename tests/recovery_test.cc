@@ -104,6 +104,79 @@ TEST(RecoveryLogTest, SnapshotTruncatePreservesAccounting) {
   EXPECT_EQ(writes[8], 1u);
 }
 
+TEST(RecoveryLogTest, SnapshotAllMatchesPerNodeSnapshots) {
+  Simulator sim;
+  RecoveryConfig cfg = RCfg();
+  cfg.durability_lag = 10 * kMillisecond;
+  constexpr int kNodes = 3;
+  constexpr int kParts = 2;
+  constexpr Key kKeys = 5;
+  RecoveryLog all(&sim, cfg, kNodes, kParts);
+  RecoveryLog per_node(&sim, cfg, kNodes, kParts);
+  std::vector<Lsn> lsn(kParts, 0);
+
+  // Feeds both logs the same interleaved multi-node appends and replica
+  // marks, 2 ms apart, so the last few of each round sit inside the fsync
+  // horizon.
+  auto round = [&](int salt) {
+    for (int i = 0; i < 12; ++i) {
+      NodeId node = (i + salt) % kNodes;
+      PartitionId pid = i % kParts;
+      Key key = static_cast<Key>(i * 7 + salt) % kKeys;
+      Lsn l = ++lsn[static_cast<size_t>(pid)];
+      for (RecoveryLog* log : {&all, &per_node}) {
+        log->AppendCommit(node, pid, key, l);
+        log->NoteApplied((node + 1) % kNodes, pid, l - 1);
+      }
+      sim.RunUntil(sim.Now() + 2 * kMillisecond);
+    }
+  };
+  auto crash_both = [&](NodeId node) {
+    all.Crash(node, /*dirty=*/true);
+    per_node.Crash(node, /*dirty=*/true);
+  };
+  auto expect_same = [&]() {
+    EXPECT_EQ(all.snapshots_taken(), per_node.snapshots_taken());
+    EXPECT_EQ(all.total_lost_entries(), per_node.total_lost_entries());
+    for (PartitionId pid = 0; pid < kParts; ++pid) {
+      EXPECT_EQ(all.DurableEntries(pid), per_node.DurableEntries(pid));
+      EXPECT_EQ(all.LostEntries(pid), per_node.LostEntries(pid));
+      EXPECT_EQ(all.DurableEntries(pid) + all.LostEntries(pid),
+                lsn[static_cast<size_t>(pid)]);
+      EXPECT_EQ(all.ReconstructWrites(pid), per_node.ReconstructWrites(pid));
+      for (Key k = 0; k < kKeys; ++k) {
+        EXPECT_EQ(all.WriteCount(pid, k), per_node.WriteCount(pid, k));
+      }
+      for (NodeId n = 0; n < kNodes; ++n) {
+        EXPECT_EQ(all.DurableLsn(n, pid, false),
+                  per_node.DurableLsn(n, pid, false));
+        EXPECT_EQ(all.DurableLsn(n, pid, true),
+                  per_node.DurableLsn(n, pid, true));
+      }
+    }
+  };
+
+  round(0);
+  crash_both(1);  // dirty crash before the snapshot
+  uint64_t lost_before = all.total_lost_entries();
+  EXPECT_GT(lost_before, 0u);
+  round(1);
+
+  all.SnapshotAll();
+  for (NodeId n = 0; n < kNodes; ++n) per_node.SnapshotNode(n);
+  EXPECT_EQ(all.snapshots_taken(), static_cast<uint64_t>(kNodes));
+  expect_same();
+
+  round(2);
+  crash_both(2);  // dirty crash after the snapshot
+  EXPECT_GT(all.total_lost_entries(), lost_before);
+  expect_same();
+
+  all.SnapshotAll();
+  for (NodeId n = 0; n < kNodes; ++n) per_node.SnapshotNode(n);
+  expect_same();
+}
+
 TEST(RecoveryLogTest, PeriodicSnapshotTimerRuns) {
   Simulator sim;
   RecoveryConfig cfg = RCfg();
