@@ -1,4 +1,10 @@
-// Shared entry point for the per-figure benchmark binaries.
+// Shared entry point for the compiled figure binaries.
+//
+// Plain-grid figures (Figs. 6-14 and the design ablations) are not compiled:
+// each is a checked-in JSON sweep spec under examples/configs/, run with
+// `lion_bench_cli --sweep=examples/configs/figN_*.json`. What stays here
+// serves the figures that add derived JSON beyond a grid (bench_fig_chaos,
+// bench_fig_geo, bench_fig_meta) and bench_perf_baseline's configs.
 //
 // Each binary declares its sweep as a vector of labeled grid points
 // (PointSpec) and delegates to bench::SweepMain, which runs the grid
@@ -34,7 +40,6 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "harness/registry.h"
 #include "harness/sweep_cli.h"
 #include "harness/sweep_runner.h"
 #include "harness/sweep_spec.h"
@@ -47,24 +52,12 @@ inline bool FastMode() {
   return v != nullptr && v[0] == '1';
 }
 
-/// The evaluation cluster defaults (Sec. VI-A, scaled per DESIGN.md).
-inline ClusterConfig EvalCluster(int nodes = 4) {
-  ClusterConfig cfg;
-  cfg.num_nodes = nodes;
-  cfg.workers_per_node = 8;
-  cfg.partitions_per_node = 12;
-  cfg.records_per_partition = 10000;
-  cfg.record_bytes = 1000;
-  cfg.init_replicas = 2;
-  cfg.max_replicas = 4;
-  return cfg;
-}
-
-/// Baseline experiment config shared by the sweeps.
-inline ExperimentConfig EvalConfig(const std::string& protocol, int nodes = 4) {
+/// Baseline experiment config shared by the compiled sweeps: the default
+/// cluster (Sec. VI-A, scaled per DESIGN.md) with the evaluation's planner
+/// and predictor cadence.
+inline ExperimentConfig EvalConfig(const std::string& protocol) {
   ExperimentConfig cfg;
   cfg.protocol = protocol;
-  cfg.cluster = EvalCluster(nodes);
   cfg.warmup = FastMode() ? 500 * kMillisecond : 1 * kSecond;
   cfg.duration = FastMode() ? 1 * kSecond : 2 * kSecond;
   cfg.lion.planner.interval = 250 * kMillisecond;
@@ -72,44 +65,6 @@ inline ExperimentConfig EvalConfig(const std::string& protocol, int nodes = 4) {
   cfg.predictor.sample_interval = 100 * kMillisecond;
   cfg.predictor.train_epochs = 5;
   return cfg;
-}
-
-/// A protocol as it appears in a figure: the paper's label plus the factory
-/// name it resolves to in ProtocolRegistry (usually identical).
-struct ProtocolEntry {
-  std::string label;
-  std::string factory;
-};
-
-/// The paper's protocol lineup for one execution mode, enumerated from the
-/// registry rather than hard-coded: every registered protocol of that mode
-/// joins the figure automatically. Parenthesized names ("Lion(R)",
-/// "Lion(SW)", ...) are the Fig. 6 / Table II ablation variants and are
-/// excluded here — except "Lion(B)", the full batch system, which reports
-/// under the paper's plain "Lion" label in the batch figures. "meta" is
-/// also excluded: it is a composite router over other registered
-/// protocols, not a lineup member (it has its own figure, FigMeta).
-inline std::vector<ProtocolEntry> ProtocolsByMode(ExecutionMode mode) {
-  std::vector<ProtocolEntry> entries;
-  for (const std::string& name :
-       ProtocolRegistry::Global().NamesByMode(mode)) {
-    if (name.find('(') != std::string::npos) continue;
-    if (name == "meta") continue;
-    entries.push_back(ProtocolEntry{name, name});
-  }
-  if (mode == ExecutionMode::kBatch &&
-      ProtocolRegistry::Global().Contains("Lion(B)")) {
-    entries.push_back(ProtocolEntry{"Lion", "Lion(B)"});
-  }
-  return entries;
-}
-
-inline std::vector<ProtocolEntry> StandardProtocols() {
-  return ProtocolsByMode(ExecutionMode::kStandard);
-}
-
-inline std::vector<ProtocolEntry> BatchProtocols() {
-  return ProtocolsByMode(ExecutionMode::kBatch);
 }
 
 /// One labeled grid point plus an optional ordered post-run hook (series

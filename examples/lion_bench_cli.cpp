@@ -10,6 +10,7 @@
 //   lion_bench_cli --config=examples/configs/quickstart.json --json
 //   lion_bench_cli --config=exp.json --lion.planner.interval_ms=250
 //   lion_bench_cli --sweep=examples/configs/fig7_cross_ratio.json --repeat=3
+//   lion_bench_cli --sweep=examples/configs/fig9_cross_ratio_batch.json --list
 //   lion_bench_cli --flags          # the full derived flag listing
 //   lion_bench_cli --list
 #include <algorithm>
@@ -66,7 +67,8 @@ void PrintUsage() {
       "                     report per-metric medians (+ min/max); with\n"
       "                     --json each point aggregates into median/min/max\n"
       "                     blocks instead of one record per run\n"
-      "  --json             emit the merged sweep JSON instead of summaries\n\n"
+      "  --json             emit the merged sweep JSON instead of summaries\n"
+      "  --list             print the point names (after --filter) and exit\n\n"
       "discovery:\n"
       "  --list             registered protocols and workloads\n"
       "  --flags            every derived --KEY flag, grouped by config\n"
@@ -100,7 +102,7 @@ void PrintFlags() {
 }
 
 int RunSweep(const std::string& sweep_path, const std::string& filter,
-             int threads, int repeat, bool json) {
+             int threads, int repeat, bool json, bool list_only) {
   std::vector<SweepPoint> points;
   Status s = LoadSweepFile(sweep_path, &points);
   if (!s.ok()) {
@@ -119,6 +121,10 @@ int RunSweep(const std::string& sweep_path, const std::string& filter,
                    filter.c_str());
       return 1;
     }
+  }
+  if (list_only) {
+    for (const SweepPoint& p : points) std::printf("%s\n", p.name.c_str());
+    return 0;
   }
   points = ExpandRepeat(std::move(points), repeat);
 
@@ -153,12 +159,12 @@ int main(int argc, char** argv) {
   bool series = false;
   bool json = false;
   bool print_config = false;
+  bool list = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--list") == 0) {
-      PrintRegistries();
-      return 0;
+      list = true;
     } else if (std::strcmp(a, "--flags") == 0) {
       PrintFlags();
       return 0;
@@ -208,7 +214,11 @@ int main(int argc, char** argv) {
                    "--KEY overrides apply to single runs only\n");
       return 1;
     }
-    return RunSweep(sweep_path, filter, threads, repeat, json);
+    return RunSweep(sweep_path, filter, threads, repeat, json, list);
+  }
+  if (list) {
+    PrintRegistries();
+    return 0;
   }
   if (repeat != 1 || threads != 0 || !filter.empty()) {
     std::fprintf(stderr,

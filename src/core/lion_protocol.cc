@@ -36,7 +36,7 @@ LionProtocol::LionProtocol(Cluster* cluster, MetricsCollector* metrics,
       current_batch_(std::make_shared<Batch>()) {
   if (options_.enable_planner) {
     planner_ = std::make_unique<Planner>(cluster, options_.planner,
-                                         predictor_.get());
+                                         predictor_.get(), options_.cost);
   }
   geo_placement_ = GeoPlacement(options_.geo, &cluster->topology());
   cost_model_.SetGeoPlacement(&geo_placement_);

@@ -33,6 +33,8 @@ struct LionOptions {
   /// Flush a batch early when it reaches this many transactions.
   size_t max_batch_size = 10000;
   PlannerConfig planner;
+  /// One set of cost weights for the router, remaster decisions and the
+  /// planner's placement cost (Eq. 1, 3, 4).
   CostModelConfig cost;
   /// Region-aware placement constraints (no-ops on a flat topology).
   GeoPlacementConfig geo;

@@ -17,7 +17,6 @@ struct PlanGeneratorConfig {
   double epsilon = 0.25;
   /// A: number of fine-tuning moves between FindOINodes re-derivations.
   int step_budget = 8;
-  CostModelConfig cost;
 };
 
 /// Implements Algorithm 1:
@@ -27,8 +26,10 @@ struct PlanGeneratorConfig {
 ///      fitting clump from an overloaded node to the cheapest idle node.
 class PlanGenerator {
  public:
-  explicit PlanGenerator(PlanGeneratorConfig config)
-      : config_(config), cost_model_(config.cost) {}
+  /// `cost` holds the Eq. 3/4 weights; Lion passes LionOptions::cost, the
+  /// same weights its router prices remastering with.
+  explicit PlanGenerator(PlanGeneratorConfig config, CostModelConfig cost = {})
+      : config_(config), cost_model_(cost) {}
 
   /// Attaches region constraints: dispatching and fine-tuning skip nodes
   /// the geo policy rejects for a clump (disallowed region, or a write-hot

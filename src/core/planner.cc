@@ -8,12 +8,12 @@
 namespace lion {
 
 Planner::Planner(Cluster* cluster, PlannerConfig config,
-                 PredictorInterface* predictor)
+                 PredictorInterface* predictor, CostModelConfig cost)
     : cluster_(cluster),
       config_(config),
       predictor_(predictor),
       clump_generator_(config.clump),
-      plan_generator_(config.plan),
+      plan_generator_(config.plan, cost),
       schism_(config.plan.epsilon),
       tick_timer_(cluster->sim(), [this](SimTime) { RunOnce(); }) {
   for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {

@@ -47,8 +47,9 @@ struct PlannerConfig {
 class Planner {
  public:
   /// `predictor` may be null (Lion(R) ablation: no workload prediction).
+  /// `cost` weights the plan generator's placement cost (LionOptions::cost).
   Planner(Cluster* cluster, PlannerConfig config,
-          PredictorInterface* predictor = nullptr);
+          PredictorInterface* predictor = nullptr, CostModelConfig cost = {});
 
   /// Starts the periodic planning loop (weak timer).
   void Start();

@@ -457,8 +457,6 @@ const ConfigSchema& PlanGeneratorConfigSchema() {
     b.Field("step_budget", &PlanGeneratorConfig::step_budget,
             "fine-tuning moves between FindOINodes re-derivations",
             check::NonNegative<int>());
-    b.Nested("cost", &PlanGeneratorConfig::cost, CostModelConfigSchema(),
-             "Eq. 3/4 placement cost weights");
     return std::move(b).Build();
   }();
   return schema;
@@ -532,7 +530,7 @@ const ConfigSchema& LionOptionsSchema() {
     b.Nested("planner", &LionOptions::planner, PlannerConfigSchema(),
              "planning loop configuration");
     b.Nested("cost", &LionOptions::cost, CostModelConfigSchema(),
-             "router/remaster cost model weights");
+             "router, remaster and Eq. 3/4 placement cost weights");
     b.Nested("geo", &LionOptions::geo, GeoPlacementConfigSchema(),
              "region-aware placement constraints");
     return std::move(b).Build();

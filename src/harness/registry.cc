@@ -51,15 +51,6 @@ bool ProtocolRegistry::IsBatch(const std::string& name) const {
   return it != entries_.end() && it->second.payload == ExecutionMode::kBatch;
 }
 
-std::vector<std::string> ProtocolRegistry::NamesByMode(
-    ExecutionMode mode) const {
-  std::vector<std::string> names;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.payload == mode) names.push_back(name);
-  }
-  return names;  // std::map iterates sorted
-}
-
 WorkloadRegistry& WorkloadRegistry::Global() {
   static WorkloadRegistry* registry = new WorkloadRegistry();
   return *registry;

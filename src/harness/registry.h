@@ -165,11 +165,6 @@ class ProtocolRegistry
   /// Convenience trait query: true iff `name` is registered as batch.
   bool IsBatch(const std::string& name) const;
 
-  /// Registered names whose execution mode is `mode`, sorted. Lets sweeps
-  /// enumerate "every standard protocol" / "every batch protocol" from the
-  /// registry instead of hard-coding name lists.
-  std::vector<std::string> NamesByMode(ExecutionMode mode) const;
-
  private:
   ProtocolRegistry() : RegistryBase("protocol", "") {}
 };

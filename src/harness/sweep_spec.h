@@ -21,8 +21,8 @@
 // expansion is the cartesian product in declared order with the FIRST axis
 // outermost, and each point is named "<name>/<label1>/<label2>/...". When
 // "labels" is omitted, a value's label is "<leaf>=<value>" ("cross_ratio=0.2");
-// explicit labels let checked-in grids reproduce the compiled binaries'
-// point names exactly ("cross=20").
+// explicit labels give the paper figures' point names ("cross=20", or
+// "Lion" for the factory "Lion(B)").
 #pragma once
 
 #include <string>

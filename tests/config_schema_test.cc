@@ -66,7 +66,8 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.lion.planner.interval = 125 * kMillisecond;
   cfg.lion.planner.frequency_decay = 0.75;
   cfg.lion.planner.clump.alpha = 2.25;
-  cfg.lion.planner.plan.cost.wm = 12.5;
+  cfg.lion.planner.plan.epsilon = 0.125;
+  cfg.lion.cost.wm = 12.5;
   cfg.lion.cost.remote_access = 6.5;
   cfg.predictor.sample_interval = 40 * kMillisecond;
   cfg.predictor.beta = 0.22;

@@ -260,9 +260,10 @@ TEST(PlanGeneratorTest, PaperExample2DispatchAndFineTune) {
   RouterTable table = Example2Table();
   PlanGeneratorConfig cfg;
   cfg.epsilon = 0.25;
-  cfg.cost.wr = 1.0;
-  cfg.cost.wm = 10.0;
-  PlanGenerator gen(cfg);
+  CostModelConfig cost;
+  cost.wr = 1.0;
+  cost.wm = 10.0;
+  PlanGenerator gen(cfg, cost);
 
   std::vector<Clump> clumps = {
       {{0, 1}, 4.0, kInvalidNode},  // C1 {P1,P2}
@@ -377,9 +378,10 @@ TEST(PlanGeneratorTest, PaperExample3PredictionMergesAndRelocates) {
 
   PlanGeneratorConfig pcfg;
   pcfg.epsilon = 0.25;
-  pcfg.cost.wr = 1.0;
-  pcfg.cost.wm = 10.0;
-  PlanGenerator pgen(pcfg);
+  CostModelConfig cost;
+  cost.wr = 1.0;
+  cost.wm = 10.0;
+  PlanGenerator pgen(pcfg, cost);
   ReconfigurationPlan plan = pgen.Rearrange(clumps, table);
 
   // C2' lands on N3 (node 2): P4's primary plus P3's secondary live there,
@@ -712,6 +714,30 @@ TEST(LionProtocolTest, Example1ConvertibleViaSecondary) {
   sim.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_EQ(cluster.router().PrimaryOf(2), 2);
+}
+
+// The planner prices placements with LionOptions::cost, the same weights
+// the router uses: scaling every weight by 2 leaves the chosen plan as it
+// is and doubles its cost.
+TEST(LionProtocolTest, PlannerPricesPlacementWithLionCostWeights) {
+  double plan_cost[2] = {0.0, 0.0};
+  for (int scale = 1; scale <= 2; ++scale) {
+    Simulator sim;
+    Cluster cluster(&sim, LionTestConfig());
+    cluster.Start();
+    SetupExample1(&cluster);
+    MetricsCollector metrics;
+    LionOptions opts;
+    opts.cost.wr *= scale;
+    opts.cost.wm *= scale;
+    LionProtocol lion(&cluster, &metrics, opts);
+    // P3 and P4 co-accessed: co-locating them remasters or migrates one.
+    for (int i = 0; i < 100; ++i) lion.planner()->RecordTxn({2, 3}, 0);
+    lion.planner()->RunOnce();
+    plan_cost[scale - 1] = lion.planner()->last_plan().total_cost;
+  }
+  EXPECT_GT(plan_cost[0], 0.0);
+  EXPECT_DOUBLE_EQ(plan_cost[1], 2.0 * plan_cost[0]);
 }
 
 TEST(LionProtocolTest, GroupCommitDelaysCompletionToEpoch) {

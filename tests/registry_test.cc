@@ -81,26 +81,6 @@ TEST(ProtocolRegistryTest, NamesEnumeratesEverythingSorted) {
   }
 }
 
-TEST(ProtocolRegistryTest, NamesByModePartitionsTheRegistry) {
-  std::vector<std::string> standard =
-      ProtocolRegistry::Global().NamesByMode(ExecutionMode::kStandard);
-  std::vector<std::string> batch =
-      ProtocolRegistry::Global().NamesByMode(ExecutionMode::kBatch);
-  EXPECT_TRUE(std::is_sorted(standard.begin(), standard.end()));
-  EXPECT_TRUE(std::is_sorted(batch.begin(), batch.end()));
-  // The two modes partition Names(): together they cover everything, and
-  // no name appears in both.
-  EXPECT_EQ(standard.size() + batch.size(),
-            ProtocolRegistry::Global().Names().size());
-  for (const std::string& name : standard) {
-    EXPECT_FALSE(ProtocolRegistry::Global().IsBatch(name)) << name;
-    EXPECT_EQ(std::find(batch.begin(), batch.end(), name), batch.end());
-  }
-  for (const std::string& name : batch) {
-    EXPECT_TRUE(ProtocolRegistry::Global().IsBatch(name)) << name;
-  }
-}
-
 TEST(ProtocolRegistryTest, UnknownNameReturnsNotFoundWithKnownNames) {
   ExperimentConfig cfg = SmallConfig();
   ProtocolContext ctx{cfg, nullptr, nullptr};

@@ -1,8 +1,14 @@
 // Sweep-grid tests: axis expansion counts and order, label defaults and
-// overrides, multi-spec documents, error paths, and repeat expansion with
-// derived seeds.
+// overrides, multi-spec documents, error paths, repeat expansion with
+// derived seeds, and the checked-in examples/configs documents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <set>
+
+#include "harness/config_schema.h"
+#include "harness/experiment.h"
 #include "harness/sweep_cli.h"
 #include "harness/sweep_spec.h"
 
@@ -140,6 +146,48 @@ TEST(SweepSpecTest, ExpandRepeatDerivesSeedsAndNames) {
   EXPECT_EQ(runs[0].config.seed, 10u);
   EXPECT_EQ(runs[2].config.seed, 12u);
   EXPECT_EQ(runs[5].config.seed, 22u);
+}
+
+// The checked-in specs are the only definition of each paper figure, so a
+// typo in one (a misspelled protocol, a bad value) must fail here rather
+// than at the end of a long sweep. A document is a sweep when it is an
+// array or carries a "name"; otherwise it is a single-run config.
+TEST(SweepSpecTest, CheckedInSpecsExpandAndValidate) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(fs::path(LION_SOURCE_DIR) / "examples/configs")) {
+    if (e.path().extension() == ".json") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+
+  size_t sweeps = 0;
+  for (const fs::path& file : files) {
+    SCOPED_TRACE(file.filename().string());
+    Json doc;
+    Status s = Json::ParseFile(file.string(), &doc);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    if (!doc.is_array() && doc.Find("name") == nullptr) {
+      ExperimentConfig cfg;
+      s = ParseExperimentConfig(doc, &cfg);
+      if (s.ok()) s = ExperimentBuilder(cfg).Validate();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      continue;
+    }
+    sweeps++;
+    std::vector<SweepPoint> points;
+    s = LoadSweepFile(file.string(), &points);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_FALSE(points.empty());
+    std::set<std::string> names;
+    for (const SweepPoint& p : points) {
+      EXPECT_TRUE(names.insert(p.name).second) << "duplicate point " << p.name;
+      s = ExperimentBuilder(p.config).Validate();
+      EXPECT_TRUE(s.ok()) << p.name << ": " << s.ToString();
+    }
+  }
+  EXPECT_GT(sweeps, 0u);
 }
 
 }  // namespace
