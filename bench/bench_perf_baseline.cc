@@ -35,11 +35,23 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
+#include "harness/experiment.h"
 #include "harness/sweep_runner.h"
 
 namespace lion {
 namespace {
+
+/// The default cluster with the evaluation's planner and predictor cadence
+/// (Sec. VI-A). Every config below sets its own warmup and duration.
+ExperimentConfig EvalConfig(const std::string& protocol) {
+  ExperimentConfig cfg;
+  cfg.protocol = protocol;
+  cfg.lion.planner.interval = 250 * kMillisecond;
+  cfg.lion.planner.min_history = 64;
+  cfg.predictor.sample_interval = 100 * kMillisecond;
+  cfg.predictor.train_epochs = 5;
+  return cfg;
+}
 
 double WallSeconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -226,7 +238,7 @@ struct MacroResult {
 };
 
 ExperimentConfig YcsbLion(bool fast) {
-  ExperimentConfig cfg = bench::EvalConfig("Lion");
+  ExperimentConfig cfg = EvalConfig("Lion");
   cfg.workload = "ycsb";
   cfg.ycsb.cross_ratio = 0.5;
   cfg.ycsb.skew_factor = 0.8;
@@ -237,7 +249,7 @@ ExperimentConfig YcsbLion(bool fast) {
 }
 
 ExperimentConfig Tpcc2Pc(bool fast) {
-  ExperimentConfig cfg = bench::EvalConfig("2PC");
+  ExperimentConfig cfg = EvalConfig("2PC");
   cfg.workload = "tpcc";
   cfg.cluster.partitions_per_node = 4;
   cfg.tpcc.remote_ratio = 0.5;
@@ -253,7 +265,7 @@ ExperimentConfig Tpcc2Pc(bool fast) {
 // commit. Events/sec tracks the log-append and catch-up overhead on top of
 // the chaos machinery; committed tracks how much work survives the schedule.
 ExperimentConfig ChaosRecovery(bool fast) {
-  ExperimentConfig cfg = bench::EvalConfig("2PC");
+  ExperimentConfig cfg = EvalConfig("2PC");
   cfg.workload = "ycsb";
   cfg.ycsb.cross_ratio = 0.2;
   cfg.warmup = fast ? 200 * kMillisecond : 500 * kMillisecond;
@@ -277,7 +289,7 @@ ExperimentConfig ChaosRecovery(bool fast) {
 // the workload it exists for. Events/sec tracks the routing overhead,
 // txn/s the adaptation win.
 ExperimentConfig MetaDrift(bool fast) {
-  ExperimentConfig cfg = bench::EvalConfig("meta");
+  ExperimentConfig cfg = EvalConfig("meta");
   cfg.workload = "ycsb-hotspot-position";
   cfg.dynamic_period = 1 * kSecond;
   cfg.warmup = fast ? 200 * kMillisecond : 500 * kMillisecond;
@@ -320,7 +332,7 @@ struct PredAblationResult {
 // good forecast pays. Same seed and workload across the three kinds, so
 // throughput isolates forecast quality and wall clock isolates model cost.
 ExperimentConfig PredictorAblationConfig(bool fast, const char* kind) {
-  ExperimentConfig cfg = bench::EvalConfig("Lion");
+  ExperimentConfig cfg = EvalConfig("Lion");
   cfg.workload = "ycsb-hotspot-position";
   // The period is the same in both modes so CI's fast runs measure the
   // same workload shape as the checked-in full baseline; fast mode only
@@ -374,7 +386,7 @@ std::vector<SweepPoint> SweepGrid(bool fast) {
   const double ratios[] = {0.0, 0.2, 0.5, 0.8};
   for (const char* p : protocols) {
     for (double r : ratios) {
-      ExperimentConfig cfg = bench::EvalConfig(p);
+      ExperimentConfig cfg = EvalConfig(p);
       cfg.workload = "ycsb";
       cfg.ycsb.cross_ratio = r;
       cfg.ycsb.skew_factor = 0.8;
@@ -474,7 +486,7 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_sim_hotpath.json";
   std::string label = "current";
   uint64_t churn_events = 4'000'000;
-  bool fast = bench::FastMode();
+  bool fast = false;
   bool run_sweep = true;
   bool run_sched = true;
   bool run_pred = true;

@@ -24,6 +24,7 @@
 #include "harness/config_schema.h"
 #include "harness/experiment.h"
 #include "harness/sweep_cli.h"
+#include "harness/sweep_reports.h"
 #include "harness/sweep_spec.h"
 
 using namespace lion;
@@ -68,6 +69,8 @@ void PrintUsage() {
       "                     --json each point aggregates into median/min/max\n"
       "                     blocks instead of one record per run\n"
       "  --json             emit the merged sweep JSON instead of summaries\n"
+      "                     (plus the derived blocks the spec's \"reports\"\n"
+      "                     select)\n"
       "  --list             print the point names (after --filter) and exit\n\n"
       "discovery:\n"
       "  --list             registered protocols and workloads\n"
@@ -104,7 +107,8 @@ void PrintFlags() {
 int RunSweep(const std::string& sweep_path, const std::string& filter,
              int threads, int repeat, bool json, bool list_only) {
   std::vector<SweepPoint> points;
-  Status s = LoadSweepFile(sweep_path, &points);
+  std::vector<std::string> reports;
+  Status s = LoadSweepFile(sweep_path, &points, &reports);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -126,23 +130,34 @@ int RunSweep(const std::string& sweep_path, const std::string& filter,
     for (const SweepPoint& p : points) std::printf("%s\n", p.name.c_str());
     return 0;
   }
-  points = ExpandRepeat(std::move(points), repeat);
+  std::vector<SweepPoint> runs = ExpandRepeat(points, repeat);
 
   SweepOptions options;
   options.threads = threads;
-  options.on_progress = MakeSweepProgress(StderrIsTty() && !json,
-                                          points.size());
+  options.on_progress = MakeSweepProgress(StderrIsTty() && !json, runs.size());
   SweepRunner runner(options);
-  for (SweepPoint& p : points) runner.Add(std::move(p));
+  for (SweepPoint& p : runs) runner.Add(std::move(p));
   std::vector<SweepOutcome> outcomes = runner.Run();
+  std::vector<std::pair<std::string, std::string>> derived =
+      RunSweepReports(reports, points, outcomes, repeat);
 
   if (json) {
-    std::printf("%s\n", MergeRepeatJson(outcomes, repeat).c_str());
+    // Each report is one more member of the merged document's object.
+    std::string doc = MergeRepeatJson(outcomes, repeat);
+    doc.pop_back();
+    for (const auto& [name, value] : derived) {
+      doc += ",\"" + name + "\":" + value;
+    }
+    std::printf("%s}\n", doc.c_str());
     bool all_ok = true;
     for (const SweepOutcome& o : outcomes) all_ok &= o.status.ok();
     return all_ok ? 0 : 1;
   }
-  return PrintSweepSummaries(stdout, outcomes, repeat) ? 0 : 1;
+  bool all_ok = PrintSweepSummaries(stdout, outcomes, repeat);
+  for (const auto& [name, value] : derived) {
+    std::printf("%s: %s\n", name.c_str(), value.c_str());
+  }
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace

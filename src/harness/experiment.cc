@@ -101,125 +101,198 @@ std::string ExperimentResult::ToJson() const {
   AppendJsonSeries(&json, "window_throughput", window_throughput, &first);
   AppendJsonSeries(&json, "window_bytes_per_txn", window_bytes_per_txn,
                    &first);
-  if (chaos_active) {
-    // Chaos-only fields live behind this gate so that chaos-off runs emit
-    // byte-identical JSON to a build without the subsystem.
-    AppendJsonField(&json, "aborted_unavailable", aborted_unavailable, &first);
-    AppendJsonField(&json, "failovers", failovers, &first);
-    AppendJsonField(&json, "elections_rerun", elections_rerun, &first);
-    AppendJsonField(&json, "messages_dropped", messages_dropped, &first);
-    AppendJsonSeries(&json, "window_availability", window_availability,
-                     &first);
-    json += ",\"fault_events\":[";
-    for (size_t i = 0; i < fault_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool ffirst = true;
-      AppendJsonField(&json, "t_ms", fault_events[i].t_ms, &ffirst);
-      AppendJsonField(&json, "event", fault_events[i].description, &ffirst);
-      json += "}";
-    }
-    json += "],\"integrity\":{";
-    bool ifirst = true;
-    AppendJsonField(&json, "violations", integrity_violations, &ifirst);
-    AppendJsonField(&json, "partitions_checked", integrity_partitions_checked,
-                    &ifirst);
-    AppendJsonField(&json, "writes_checked", integrity_writes_checked,
-                    &ifirst);
-    if (recovery_active) {
-      // Recovery-only integrity fields stay behind the recovery gate so
-      // chaos-on / recovery-off runs keep their pre-recovery JSON shape.
-      AppendJsonField(&json, "stale_elections", stale_elections, &ifirst);
-      AppendJsonField(&json, "log_writes_checked",
-                      integrity_log_writes_checked, &ifirst);
-    }
-    json += ",\"messages\":[";
-    for (size_t i = 0; i < integrity_messages.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"";
-      json += integrity_messages[i];  // checker messages: no quotes/escapes
-      json += "\"";
-    }
-    json += "]}";
-  }
-  if (recovery_active) {
-    // Recovery-only fields live behind this gate so that recovery-off runs
-    // emit byte-identical JSON to a build without the subsystem.
-    json += ",\"recovery\":{";
-    bool rfirst = true;
-    AppendJsonField(&json, "log_entries", log_entries, &rfirst);
-    AppendJsonField(&json, "log_entries_lost", log_entries_lost, &rfirst);
-    AppendJsonField(&json, "log_snapshots", log_snapshots, &rfirst);
-    AppendJsonField(&json, "recoveries_replayed", recoveries_replayed,
-                    &rfirst);
-    AppendJsonField(&json, "catch_ups", catch_ups_completed, &rfirst);
-    AppendJsonField(&json, "catch_up_entries", catch_up_entries, &rfirst);
-    AppendJsonField(&json, "stale_elections", stale_elections, &rfirst);
-    json += ",\"catch_up_events\":[";
-    for (size_t i = 0; i < catch_up_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool cfirst = true;
-      AppendJsonField(&json, "t_ms", catch_up_events[i].t_ms, &cfirst);
-      AppendJsonField(&json, "node",
-                      static_cast<uint64_t>(catch_up_events[i].node), &cfirst);
-      AppendJsonField(&json, "partition",
-                      static_cast<uint64_t>(catch_up_events[i].partition),
-                      &cfirst);
-      AppendJsonField(&json, "duration_ms", catch_up_events[i].duration_ms,
-                      &cfirst);
-      AppendJsonField(&json, "entries", catch_up_events[i].entries, &cfirst);
-      json += "}";
-    }
-    json += "],\"recovery_events\":[";
-    for (size_t i = 0; i < recovery_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool rfirst2 = true;
-      AppendJsonField(&json, "t_ms", recovery_events[i].t_ms, &rfirst2);
-      AppendJsonField(&json, "node",
-                      static_cast<uint64_t>(recovery_events[i].node),
-                      &rfirst2);
-      AppendJsonField(&json, "duration_ms", recovery_events[i].duration_ms,
-                      &rfirst2);
-      AppendJsonField(&json, "partitions",
-                      static_cast<uint64_t>(recovery_events[i].partitions),
-                      &rfirst2);
-      json += "}";
-    }
-    json += "]}";
-  }
-  if (meta_active) {
-    // Meta-only fields live behind this gate so non-meta runs emit
-    // byte-identical JSON to a build without the subsystem.
-    json += ",\"meta\":{\"children\":[";
-    for (size_t i = 0; i < meta_children.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"" + meta_children[i] + "\"";
-    }
-    json += "],\"final_assignment\":[";
-    for (size_t i = 0; i < meta_assignment.size(); ++i) {
-      if (i > 0) json += ",";
-      json += std::to_string(meta_assignment[i]);
-    }
-    json += "],\"switches\":" + std::to_string(protocol_switches.size());
-    json += "},\"protocol_switches\":[";
-    for (size_t i = 0; i < protocol_switches.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool sfirst = true;
-      AppendJsonField(&json, "t_ms", protocol_switches[i].t_ms, &sfirst);
-      AppendJsonField(&json, "partition",
-                      static_cast<uint64_t>(protocol_switches[i].partition),
-                      &sfirst);
-      AppendJsonField(&json, "from", protocol_switches[i].from, &sfirst);
-      AppendJsonField(&json, "to", protocol_switches[i].to, &sfirst);
-      json += "}";
-    }
-    json += "]";
-  }
+  if (chaos) chaos->AppendJson(&json, recovery ? &*recovery : nullptr);
+  if (recovery) recovery->AppendJson(&json);
+  if (meta) meta->AppendJson(&json);
   json += "}";
   return json;
+}
+
+// --- chaos section -----------------------------------------------------------
+
+ChaosSection Experiment::CollectChaos() {
+  ChaosSection c;
+  c.aborted_unavailable = metrics_->aborted_unavailable();
+  c.failovers = chaos_->injector().failovers_completed();
+  c.elections_rerun = chaos_->injector().elections_rerun();
+  c.messages_dropped = cluster_->network().messages_dropped();
+  for (size_t i = 0; i < result_.window_throughput.size(); ++i) {
+    c.window_availability.push_back(metrics_->WindowAvailability(i));
+  }
+  for (const ChaosController::Fired& f : chaos_->fired()) {
+    c.fault_events.push_back(ChaosSection::FaultEvent{
+        static_cast<double>(f.at) / 1e6, f.description});
+  }
+  if (config_.chaos.check_integrity) {
+    IntegrityReport report = CheckClusterIntegrity(
+        cluster_.get(), &chaos_->injector(), ledger_.get());
+    c.integrity_violations = report.violations.size();
+    c.integrity_partitions_checked = report.partitions_checked;
+    c.integrity_writes_checked = report.committed_writes_checked;
+    c.integrity_log_writes_checked = report.log_writes_checked;
+    for (size_t i = 0; i < report.violations.size() && i < 5; ++i) {
+      c.integrity_messages.push_back(report.violations[i]);
+    }
+  }
+  return c;
+}
+
+void ChaosSection::AppendJson(std::string* json,
+                              const RecoverySection* recovery) const {
+  bool first = false;
+  AppendJsonField(json, "aborted_unavailable", aborted_unavailable, &first);
+  AppendJsonField(json, "failovers", failovers, &first);
+  AppendJsonField(json, "elections_rerun", elections_rerun, &first);
+  AppendJsonField(json, "messages_dropped", messages_dropped, &first);
+  AppendJsonSeries(json, "window_availability", window_availability, &first);
+  *json += ",\"fault_events\":[";
+  for (size_t i = 0; i < fault_events.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "{";
+    bool ffirst = true;
+    AppendJsonField(json, "t_ms", fault_events[i].t_ms, &ffirst);
+    AppendJsonField(json, "event", fault_events[i].description, &ffirst);
+    *json += "}";
+  }
+  *json += "],\"integrity\":{";
+  bool ifirst = true;
+  AppendJsonField(json, "violations", integrity_violations, &ifirst);
+  AppendJsonField(json, "partitions_checked", integrity_partitions_checked,
+                  &ifirst);
+  AppendJsonField(json, "writes_checked", integrity_writes_checked, &ifirst);
+  if (recovery != nullptr) {
+    AppendJsonField(json, "stale_elections", recovery->stale_elections,
+                    &ifirst);
+    AppendJsonField(json, "log_writes_checked", integrity_log_writes_checked,
+                    &ifirst);
+  }
+  *json += ",\"messages\":[";
+  for (size_t i = 0; i < integrity_messages.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "\"";
+    *json += integrity_messages[i];  // checker messages: no quotes/escapes
+    *json += "\"";
+  }
+  *json += "]}";
+}
+
+// --- recovery section --------------------------------------------------------
+
+RecoverySection Experiment::CollectRecovery() {
+  const RecoveryLog* log = cluster_->recovery_log();
+  RecoverySection r;
+  r.log_entries = log->entries_appended();
+  r.log_entries_lost = log->total_lost_entries();
+  r.log_snapshots = log->snapshots_taken();
+  r.catch_up_entries = cluster_->replication().catch_up_entries_shipped();
+  if (chaos_) {
+    const FailureInjector& injector = chaos_->injector();
+    r.stale_elections = injector.stale_elections();
+    r.recoveries_replayed = injector.recoveries_replayed();
+    r.catch_ups_completed = injector.catch_ups().size();
+    for (const FailureInjector::CatchUpRecord& c : injector.catch_ups()) {
+      r.catch_up_events.push_back(RecoverySection::CatchUpEvent{
+          static_cast<double>(c.finished) / 1e6, static_cast<int>(c.node),
+          static_cast<int>(c.partition),
+          static_cast<double>(c.finished - c.started) / 1e6, c.entries});
+    }
+    for (const FailureInjector::RecoveryRecord& rec : injector.recoveries()) {
+      r.recovery_events.push_back(RecoverySection::RecoveryEvent{
+          static_cast<double>(rec.finished) / 1e6, static_cast<int>(rec.node),
+          static_cast<double>(rec.finished - rec.started) / 1e6,
+          rec.partitions});
+    }
+  }
+  return r;
+}
+
+void RecoverySection::AppendJson(std::string* json) const {
+  *json += ",\"recovery\":{";
+  bool rfirst = true;
+  AppendJsonField(json, "log_entries", log_entries, &rfirst);
+  AppendJsonField(json, "log_entries_lost", log_entries_lost, &rfirst);
+  AppendJsonField(json, "log_snapshots", log_snapshots, &rfirst);
+  AppendJsonField(json, "recoveries_replayed", recoveries_replayed, &rfirst);
+  AppendJsonField(json, "catch_ups", catch_ups_completed, &rfirst);
+  AppendJsonField(json, "catch_up_entries", catch_up_entries, &rfirst);
+  AppendJsonField(json, "stale_elections", stale_elections, &rfirst);
+  *json += ",\"catch_up_events\":[";
+  for (size_t i = 0; i < catch_up_events.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "{";
+    bool cfirst = true;
+    AppendJsonField(json, "t_ms", catch_up_events[i].t_ms, &cfirst);
+    AppendJsonField(json, "node",
+                    static_cast<uint64_t>(catch_up_events[i].node), &cfirst);
+    AppendJsonField(json, "partition",
+                    static_cast<uint64_t>(catch_up_events[i].partition),
+                    &cfirst);
+    AppendJsonField(json, "duration_ms", catch_up_events[i].duration_ms,
+                    &cfirst);
+    AppendJsonField(json, "entries", catch_up_events[i].entries, &cfirst);
+    *json += "}";
+  }
+  *json += "],\"recovery_events\":[";
+  for (size_t i = 0; i < recovery_events.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "{";
+    bool efirst = true;
+    AppendJsonField(json, "t_ms", recovery_events[i].t_ms, &efirst);
+    AppendJsonField(json, "node",
+                    static_cast<uint64_t>(recovery_events[i].node), &efirst);
+    AppendJsonField(json, "duration_ms", recovery_events[i].duration_ms,
+                    &efirst);
+    AppendJsonField(json, "partitions",
+                    static_cast<uint64_t>(recovery_events[i].partitions),
+                    &efirst);
+    *json += "}";
+  }
+  *json += "]}";
+}
+
+// --- meta section ------------------------------------------------------------
+
+MetaSection Experiment::CollectMeta(const MetaProtocol& meta) {
+  MetaSection m;
+  for (size_t i = 0; i < meta.num_children(); ++i) {
+    m.children.push_back(meta.child_name(i));
+  }
+  m.assignment = meta.AssignmentCounts();
+  for (const MetricsCollector::ProtocolSwitch& s :
+       metrics_->protocol_switches()) {
+    m.protocol_switches.push_back(MetaSection::ProtocolSwitchEvent{
+        static_cast<double>(s.at) / 1e6, static_cast<int>(s.partition), s.from,
+        s.to});
+  }
+  return m;
+}
+
+void MetaSection::AppendJson(std::string* json) const {
+  *json += ",\"meta\":{\"children\":[";
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "\"" + children[i] + "\"";
+  }
+  *json += "],\"final_assignment\":[";
+  for (size_t i = 0; i < assignment.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += std::to_string(assignment[i]);
+  }
+  *json += "],\"switches\":" + std::to_string(protocol_switches.size());
+  *json += "},\"protocol_switches\":[";
+  for (size_t i = 0; i < protocol_switches.size(); ++i) {
+    if (i > 0) *json += ",";
+    *json += "{";
+    bool sfirst = true;
+    AppendJsonField(json, "t_ms", protocol_switches[i].t_ms, &sfirst);
+    AppendJsonField(json, "partition",
+                    static_cast<uint64_t>(protocol_switches[i].partition),
+                    &sfirst);
+    AppendJsonField(json, "from", protocol_switches[i].from, &sfirst);
+    AppendJsonField(json, "to", protocol_switches[i].to, &sfirst);
+    *json += "}";
+  }
+  *json += "]";
 }
 
 Status ExperimentBuilder::Validate() const {
@@ -416,71 +489,13 @@ ExperimentResult Experiment::Run() {
     // Quiesce so in-flight failovers, retransmissions and deferred retries
     // settle before the invariants are checked.
     sim_->RunUntilIdle();
-    result_.chaos_active = true;
-    result_.aborted_unavailable = metrics_->aborted_unavailable();
-    result_.failovers = chaos_->injector().failovers_completed();
-    result_.elections_rerun = chaos_->injector().elections_rerun();
-    result_.messages_dropped = cluster_->network().messages_dropped();
-    for (size_t i = 0; i < result_.window_throughput.size(); ++i) {
-      result_.window_availability.push_back(metrics_->WindowAvailability(i));
-    }
-    for (const ChaosController::Fired& f : chaos_->fired()) {
-      result_.fault_events.push_back(ExperimentResult::FaultEvent{
-          static_cast<double>(f.at) / 1e6, f.description});
-    }
-    if (config_.chaos.check_integrity) {
-      IntegrityReport report = CheckClusterIntegrity(
-          cluster_.get(), &chaos_->injector(), ledger_.get());
-      result_.integrity_violations = report.violations.size();
-      result_.integrity_partitions_checked = report.partitions_checked;
-      result_.integrity_writes_checked = report.committed_writes_checked;
-      result_.integrity_log_writes_checked = report.log_writes_checked;
-      for (size_t i = 0; i < report.violations.size() && i < 5; ++i) {
-        result_.integrity_messages.push_back(report.violations[i]);
-      }
-    }
+    result_.chaos = CollectChaos();
   }
-  if (cluster_->recovery_log() != nullptr) {
-    // After the chaos drain (when one ran) so catch-ups completing during
-    // the quiesce land in the records too.
-    const RecoveryLog* log = cluster_->recovery_log();
-    result_.recovery_active = true;
-    result_.log_entries = log->entries_appended();
-    result_.log_entries_lost = log->total_lost_entries();
-    result_.log_snapshots = log->snapshots_taken();
-    result_.catch_up_entries = cluster_->replication().catch_up_entries_shipped();
-    if (chaos_) {
-      const FailureInjector& injector = chaos_->injector();
-      result_.stale_elections = injector.stale_elections();
-      result_.recoveries_replayed = injector.recoveries_replayed();
-      result_.catch_ups_completed = injector.catch_ups().size();
-      for (const FailureInjector::CatchUpRecord& c : injector.catch_ups()) {
-        result_.catch_up_events.push_back(ExperimentResult::CatchUpEvent{
-            static_cast<double>(c.finished) / 1e6, static_cast<int>(c.node),
-            static_cast<int>(c.partition),
-            static_cast<double>(c.finished - c.started) / 1e6, c.entries});
-      }
-      for (const FailureInjector::RecoveryRecord& r : injector.recoveries()) {
-        result_.recovery_events.push_back(ExperimentResult::RecoveryEvent{
-            static_cast<double>(r.finished) / 1e6, static_cast<int>(r.node),
-            static_cast<double>(r.finished - r.started) / 1e6, r.partitions});
-      }
-    }
-  }
+  // Recovery and meta collect after the chaos drain (when one ran) so
+  // catch-ups and flips completing during the quiesce land in the records.
+  if (cluster_->recovery_log() != nullptr) result_.recovery = CollectRecovery();
   if (auto* meta = dynamic_cast<MetaProtocol*>(protocol_.get())) {
-    // After the chaos drain (when one ran) so flips completing during the
-    // quiesce land in the timeline too.
-    result_.meta_active = true;
-    for (size_t i = 0; i < meta->num_children(); ++i) {
-      result_.meta_children.push_back(meta->child_name(i));
-    }
-    result_.meta_assignment = meta->AssignmentCounts();
-    for (const MetricsCollector::ProtocolSwitch& s :
-         metrics_->protocol_switches()) {
-      result_.protocol_switches.push_back(ExperimentResult::ProtocolSwitchEvent{
-          static_cast<double>(s.at) / 1e6, static_cast<int>(s.partition),
-          s.from, s.to});
-    }
+    result_.meta = CollectMeta(*meta);
   }
   return result_;
 }

@@ -1,6 +1,7 @@
-// Shared front-end pieces for sweep-running binaries (bench::SweepMain and
-// lion_bench_cli --sweep): repeat expansion with derived seeds, a TTY
-// progress/ETA line, and per-point summary reporting with medians.
+// Front-end pieces of lion_bench_cli --sweep, the one runner for every
+// figure spec: repeat expansion with derived seeds, a TTY progress/ETA
+// line, and per-point summary reporting with medians. The derived blocks a
+// spec selects are computed by harness/sweep_reports.h.
 #pragma once
 
 #include <cstdio>

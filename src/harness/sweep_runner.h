@@ -28,6 +28,9 @@ namespace lion {
 struct SweepPoint {
   std::string name;
   ExperimentConfig config;
+  /// Derived reports this point feeds (its spec entry's "reports"; see
+  /// harness/sweep_reports.h). The runner ignores them.
+  std::vector<std::string> reports = {};
 };
 
 /// What happened to one grid point. `result` is meaningful iff `status` is

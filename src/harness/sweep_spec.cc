@@ -1,8 +1,10 @@
 #include "harness/sweep_spec.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "harness/config_schema.h"
+#include "harness/sweep_reports.h"
 
 namespace lion {
 
@@ -87,10 +89,26 @@ Status SweepSpec::FromJson(const Json& v, SweepSpec* out) {
         if (!s.ok()) return s;
         out->axes.push_back(std::move(axis));
       }
+    } else if (m.first == "reports") {
+      if (!m.second.is_array())
+        return Status::InvalidArgument("reports: expected array");
+      for (size_t i = 0; i < m.second.items().size(); ++i) {
+        const Json& r = m.second.items()[i];
+        std::string where = "reports[" + std::to_string(i) + "]";
+        if (!r.is_string())
+          return Status::InvalidArgument(where + ": expected string");
+        Status s = CheckSweepReport(r.str());
+        if (!s.ok()) return Status::InvalidArgument(where + ": " + s.message());
+        if (std::find(out->reports.begin(), out->reports.end(), r.str()) !=
+            out->reports.end())
+          return Status::InvalidArgument(where + ": \"" + r.str() +
+                                         "\" is already listed");
+        out->reports.push_back(r.str());
+      }
     } else {
       return Status::InvalidArgument(m.first +
                                      ": unknown sweep spec key (name, base, "
-                                     "axes)");
+                                     "axes, reports)");
     }
   }
   if (out->name.empty())
@@ -113,6 +131,7 @@ Status SweepSpec::Expand(std::vector<SweepPoint>* out) const {
     SweepPoint sp;
     sp.name = name;
     sp.config = base;
+    sp.reports = reports;
     for (size_t a = 0; a < axes.size(); ++a) {
       const SweepAxis& axis = axes[a];
       const Json& value = axis.values[index[a]];
@@ -132,7 +151,8 @@ Status SweepSpec::Expand(std::vector<SweepPoint>* out) const {
   return Status::OK();
 }
 
-Status ExpandSweepDocument(const Json& doc, std::vector<SweepPoint>* out) {
+Status ExpandSweepDocument(const Json& doc, std::vector<SweepPoint>* out,
+                           std::vector<std::string>* reports) {
   std::vector<const Json*> specs;
   if (doc.is_array()) {
     for (const Json& v : doc.items()) specs.push_back(&v);
@@ -149,15 +169,21 @@ Status ExpandSweepDocument(const Json& doc, std::vector<SweepPoint>* out) {
     if (!s.ok())
       return Status::InvalidArgument("sweep \"" + spec.name +
                                      "\": " + s.message());
+    if (reports == nullptr) continue;
+    for (const std::string& r : spec.reports) {
+      if (std::find(reports->begin(), reports->end(), r) == reports->end())
+        reports->push_back(r);
+    }
   }
   return Status::OK();
 }
 
-Status LoadSweepFile(const std::string& path, std::vector<SweepPoint>* out) {
+Status LoadSweepFile(const std::string& path, std::vector<SweepPoint>* out,
+                     std::vector<std::string>* reports) {
   Json doc;
   Status s = Json::ParseFile(path, &doc);
   if (!s.ok()) return s;
-  return ExpandSweepDocument(doc, out);
+  return ExpandSweepDocument(doc, out, reports);
 }
 
 }  // namespace lion

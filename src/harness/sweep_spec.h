@@ -23,6 +23,11 @@
 // "labels" is omitted, a value's label is "<leaf>=<value>" ("cross_ratio=0.2");
 // explicit labels give the paper figures' point names ("cross=20", or
 // "Lion" for the factory "Lion(B)").
+//
+// An optional "reports" list names derived blocks computed from the entry's
+// finished points (harness/sweep_reports.h), e.g. "reports": ["reference"].
+// Entries that name the same report feed one block, in declaration order;
+// an unknown name, or one listed twice in an entry, is kInvalidArgument.
 #pragma once
 
 #include <string>
@@ -48,10 +53,13 @@ struct SweepSpec {
   std::string name;
   ExperimentConfig base;
   std::vector<SweepAxis> axes;
+  /// Derived reports every expanded point feeds.
+  std::vector<std::string> reports;
 
-  /// Parses one spec object ("name" required; "base"/"axes" optional).
-  /// Unknown spec keys, unknown config keys in "base", length-mismatched
-  /// "labels", and empty "values" are kInvalidArgument.
+  /// Parses one spec object ("name" required; "base"/"axes"/"reports"
+  /// optional). Unknown spec keys, unknown config keys in "base",
+  /// length-mismatched "labels", empty "values" and unknown or repeated
+  /// report names are kInvalidArgument.
   static Status FromJson(const Json& v, SweepSpec* out);
 
   /// Product of the axis sizes (1 when there are no axes).
@@ -65,9 +73,13 @@ struct SweepSpec {
 };
 
 /// Expands a whole sweep document (one spec object or an array of them).
-Status ExpandSweepDocument(const Json& doc, std::vector<SweepPoint>* out);
+/// When `reports` is non-null, it receives every report the document
+/// selects, once each, in first-selection order.
+Status ExpandSweepDocument(const Json& doc, std::vector<SweepPoint>* out,
+                           std::vector<std::string>* reports = nullptr);
 
 /// Json::ParseFile + ExpandSweepDocument.
-Status LoadSweepFile(const std::string& path, std::vector<SweepPoint>* out);
+Status LoadSweepFile(const std::string& path, std::vector<SweepPoint>* out,
+                     std::vector<std::string>* reports = nullptr);
 
 }  // namespace lion

@@ -47,8 +47,8 @@ void ClayProtocol::Monitor() {
   if (load[hottest] <= avg * (1.0 + config_.epsilon)) return;  // balanced
 
   // Build the migrating clump: the hottest partitions mastered on the
-  // overloaded node, each pulled together with its strongest co-accessed
-  // partner from recent history.
+  // overloaded node, by access frequency. Co-accessed partners are not
+  // pulled along.
   std::vector<PartitionId> on_hot = cluster_->router().PrimariesOn(hottest);
   std::sort(on_hot.begin(), on_hot.end(), [this](PartitionId a, PartitionId b) {
     return cluster_->router().RawFrequency(a) > cluster_->router().RawFrequency(b);
@@ -73,10 +73,9 @@ void ClayProtocol::Monitor() {
 }
 
 void ClayProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
-  for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
-  history_.push_back(parts);
-  if (history_.size() > config_.history_capacity) history_.pop_front();
+  for (PartitionId pid : txn->Partitions()) {
+    cluster_->router().RecordAccess(pid);
+  }
 
   NodeId coord = TwoPcProtocol::RouteToMostPrimaries(*txn, cluster_->router());
   Transaction* raw = txn.get();

@@ -297,14 +297,15 @@ TEST(ChaosExperimentTest, ScheduledRunStaysConsistent) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.chaos_active);
+  ASSERT_TRUE(res.chaos.has_value());
+  const ChaosSection& chaos = *res.chaos;
   EXPECT_GT(res.committed, 0u);
-  EXPECT_EQ(res.fault_events.size(), 4u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
-  EXPECT_EQ(res.integrity_partitions_checked, 6u);
-  EXPECT_GT(res.integrity_writes_checked, 0u);
-  EXPECT_EQ(res.window_availability.size(), res.window_throughput.size());
+  EXPECT_EQ(chaos.fault_events.size(), 4u);
+  EXPECT_EQ(chaos.integrity_violations, 0u)
+      << (chaos.integrity_messages.empty() ? "" : chaos.integrity_messages[0]);
+  EXPECT_EQ(chaos.integrity_partitions_checked, 6u);
+  EXPECT_GT(chaos.integrity_writes_checked, 0u);
+  EXPECT_EQ(chaos.window_availability.size(), res.window_throughput.size());
 
   std::string json = res.ToJson();
   EXPECT_NE(json.find("\"fault_events\""), std::string::npos);
@@ -328,7 +329,7 @@ TEST(ChaosExperimentTest, ChaosOffEmitsNoChaosFields) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_FALSE(res.chaos_active);
+  EXPECT_FALSE(res.chaos.has_value());
   std::string json = res.ToJson();
   EXPECT_EQ(json.find("aborted_unavailable"), std::string::npos);
   EXPECT_EQ(json.find("fault_events"), std::string::npos);
@@ -356,13 +357,15 @@ TEST(ChaosExperimentTest, MetaSwitchUnderCrashNeverStrandsAPartition) {
   ASSERT_TRUE(builder.Build(&exp).ok());
   ExperimentResult res = exp->Run();
 
-  EXPECT_TRUE(res.chaos_active);
-  EXPECT_TRUE(res.meta_active);
+  ASSERT_TRUE(res.chaos.has_value());
+  ASSERT_TRUE(res.meta.has_value());
   EXPECT_GT(res.committed, 0u);
-  EXPECT_GE(res.protocol_switches.size(), 1u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
-  EXPECT_GT(res.integrity_writes_checked, 0u);
+  EXPECT_GE(res.meta->protocol_switches.size(), 1u);
+  EXPECT_EQ(res.chaos->integrity_violations, 0u)
+      << (res.chaos->integrity_messages.empty()
+              ? ""
+              : res.chaos->integrity_messages[0]);
+  EXPECT_GT(res.chaos->integrity_writes_checked, 0u);
 
   auto* meta = dynamic_cast<MetaProtocol*>(exp->protocol());
   ASSERT_NE(meta, nullptr);

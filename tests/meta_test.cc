@@ -54,22 +54,22 @@ TEST(MetaExperimentTest, FlipsPartitionsOnDriftingWorkload) {
   ASSERT_TRUE(builder.Build(&exp).ok());
   ExperimentResult res = exp->Run();
 
-  EXPECT_TRUE(res.meta_active);
-  ASSERT_EQ(res.meta_children.size(), 2u);
-  EXPECT_EQ(res.meta_children[0], "2PC");
-  EXPECT_EQ(res.meta_children[1], "Star");
-  EXPECT_GE(res.protocol_switches.size(), 1u);
+  ASSERT_TRUE(res.meta.has_value());
+  ASSERT_EQ(res.meta->children.size(), 2u);
+  EXPECT_EQ(res.meta->children[0], "2PC");
+  EXPECT_EQ(res.meta->children[1], "Star");
+  EXPECT_GE(res.meta->protocol_switches.size(), 1u);
 
   auto* meta = dynamic_cast<MetaProtocol*>(exp->protocol());
   ASSERT_NE(meta, nullptr);
-  EXPECT_EQ(meta->switches_completed(), res.protocol_switches.size());
+  EXPECT_EQ(meta->switches_completed(), res.meta->protocol_switches.size());
   // Safe handoff: nothing mid-switch, nothing parked once the run is over.
   EXPECT_FALSE(meta->SwitchInProgress());
   EXPECT_EQ(meta->parked(), 0u);
 
   // The assignment histogram covers every partition exactly once.
   uint64_t assigned = 0;
-  for (uint64_t n : res.meta_assignment) assigned += n;
+  for (uint64_t n : res.meta->assignment) assigned += n;
   EXPECT_EQ(assigned, static_cast<uint64_t>(SmallCluster().num_nodes *
                                             SmallCluster().partitions_per_node));
 
@@ -86,7 +86,7 @@ TEST(MetaExperimentTest, MetaOffEmitsNoMetaFields) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_FALSE(res.meta_active);
+  EXPECT_FALSE(res.meta.has_value());
   std::string json = res.ToJson();
   EXPECT_EQ(json.find("\"meta\""), std::string::npos);
   EXPECT_EQ(json.find("protocol_switches"), std::string::npos);
@@ -111,8 +111,8 @@ TEST(MetaExperimentTest, PredictorOffStillAdapts) {
   builder.config().predictor.kind = "off";
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.meta_active);
-  EXPECT_GE(res.protocol_switches.size(), 1u);
+  ASSERT_TRUE(res.meta.has_value());
+  EXPECT_GE(res.meta->protocol_switches.size(), 1u);
 }
 
 // --- seasonal-naive predictor ------------------------------------------------

@@ -507,19 +507,21 @@ TEST(RecoveryExperimentTest, CrashRecoverUnderLoadStaysConsistent) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.chaos_active);
-  EXPECT_TRUE(res.recovery_active);
+  ASSERT_TRUE(res.chaos.has_value());
+  ASSERT_TRUE(res.recovery.has_value());
   EXPECT_GT(res.committed, 0u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
+  EXPECT_EQ(res.chaos->integrity_violations, 0u)
+      << (res.chaos->integrity_messages.empty()
+              ? ""
+              : res.chaos->integrity_messages[0]);
   // Both crashed nodes replayed their logs and completed their catch-ups;
   // the recovered nodes serve committed pre-crash writes (the ledger
   // reconstruction above would flag anything lost).
-  EXPECT_EQ(res.recoveries_replayed, 2u);
-  EXPECT_GE(res.catch_ups_completed, 1u);
-  EXPECT_GT(res.log_entries, 0u);
-  EXPECT_GE(res.log_snapshots, 1u);  // the forced truncate
-  EXPECT_GT(res.integrity_log_writes_checked, 0u);
+  EXPECT_EQ(res.recovery->recoveries_replayed, 2u);
+  EXPECT_GE(res.recovery->catch_ups_completed, 1u);
+  EXPECT_GT(res.recovery->log_entries, 0u);
+  EXPECT_GE(res.recovery->log_snapshots, 1u);  // the forced truncate
+  EXPECT_GT(res.chaos->integrity_log_writes_checked, 0u);
 
   std::string json = res.ToJson();
   EXPECT_NE(json.find("\"recovery\""), std::string::npos);
@@ -542,7 +544,7 @@ TEST(RecoveryExperimentTest, RecoveryOffEmitsNoRecoveryFieldsAndIsDeterministic)
     }
     ExperimentResult res;
     EXPECT_TRUE(builder.Run(&res).ok());
-    EXPECT_FALSE(res.recovery_active);
+    EXPECT_FALSE(res.recovery.has_value());
     return res.ToJson();
   };
 

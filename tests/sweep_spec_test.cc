@@ -1,6 +1,7 @@
 // Sweep-grid tests: axis expansion counts and order, label defaults and
 // overrides, multi-spec documents, error paths, repeat expansion with
-// derived seeds, and the checked-in examples/configs documents.
+// derived seeds, derived reports over synthetic outcomes, and the
+// checked-in examples/configs documents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "harness/config_schema.h"
 #include "harness/experiment.h"
 #include "harness/sweep_cli.h"
+#include "harness/sweep_reports.h"
 #include "harness/sweep_spec.h"
 
 namespace lion {
@@ -188,6 +190,147 @@ TEST(SweepSpecTest, CheckedInSpecsExpandAndValidate) {
     }
   }
   EXPECT_GT(sweeps, 0u);
+}
+
+// --- derived reports ---------------------------------------------------------
+
+std::string ConfigPath(const std::string& file) {
+  return std::string(LION_SOURCE_DIR) + "/examples/configs/" + file;
+}
+
+/// A synthetic, distinguishable result for point `i`, run `rep`: every
+/// field a report reads differs between points and between repeats.
+ExperimentResult SyntheticResult(const SweepPoint& p, size_t i, int rep) {
+  ExperimentResult r;
+  double salt = static_cast<double>(i) + 100.0 * rep;
+  r.protocol = p.config.protocol;
+  r.seed = p.config.seed + static_cast<uint64_t>(rep);
+  r.throughput = 1000.0 + salt;
+  r.p99_us = 5000.0 + salt;
+  r.window = 100 * kMillisecond;
+  if (!p.config.chaos.schedule.empty()) {
+    r.chaos.emplace();
+    for (int w = 0; w < 30; ++w) {
+      r.chaos->window_availability.push_back(w < 25 ? 1.0 : 0.5 + salt / 1e3);
+    }
+  }
+  if (p.config.recovery.enabled) {
+    r.recovery.emplace();
+    r.recovery->log_entries_lost = 10 + static_cast<uint64_t>(salt);
+    r.recovery->recovery_events.push_back({2000.0, 1, 2.5 + salt, 4});
+  }
+  if (p.config.protocol == "meta") {
+    r.meta.emplace();
+    r.meta->protocol_switches.resize(3 + static_cast<size_t>(rep));
+  }
+  return r;
+}
+
+std::vector<SweepOutcome> SyntheticOutcomes(
+    const std::vector<SweepPoint>& points, int repeat) {
+  std::vector<SweepPoint> runs = ExpandRepeat(points, repeat);
+  std::vector<SweepOutcome> outcomes;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    size_t i = k / static_cast<size_t>(repeat);
+    int rep = static_cast<int>(k % static_cast<size_t>(repeat));
+    outcomes.push_back(SweepOutcome{runs[k].name, Status::OK(),
+                                    SyntheticResult(points[i], i, rep)});
+  }
+  return outcomes;
+}
+
+TEST(SweepReportsTest, ReferenceBoundComesFromEachPointsTopology) {
+  // geo_smoke.json runs 3 regions with an explicit 80 ms worst one-way
+  // link, so the bound is one 160 ms round trip — not the 60 ms of the
+  // default 30 ms cross-region latency.
+  std::vector<SweepPoint> points;
+  ASSERT_TRUE(LoadSweepFile(ConfigPath("geo_smoke.json"), &points).ok());
+  ASSERT_EQ(points.size(), 2u);
+  for (SweepPoint& p : points) p.reports = {"reference"};
+  auto derived =
+      RunSweepReports({"reference"}, points, SyntheticOutcomes(points, 1), 1);
+  ASSERT_EQ(derived.size(), 1u);
+  EXPECT_EQ(derived[0].first, "reference");
+  Json ref = MustParse(derived[0].second);
+  const Json* bounds = ref.Find("didona_lower_bound_us");
+  ASSERT_NE(bounds, nullptr);
+  ASSERT_EQ(bounds->members().size(), 1u);
+  EXPECT_EQ(bounds->members()[0].first, "regions=3");
+  double bound = 0.0;
+  ASSERT_TRUE(bounds->members()[0].second.GetDouble(&bound).ok());
+  EXPECT_EQ(bound, 160000.0);
+  const Json* distance = ref.Find("distance_from_bound_us");
+  ASSERT_NE(distance, nullptr);
+  ASSERT_EQ(distance->members().size(), 2u);
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(distance->members()[i].first, points[i].name);
+    double d = 0.0;
+    ASSERT_TRUE(distance->members()[i].second.GetDouble(&d).ok());
+    EXPECT_EQ(d, 5000.0 + static_cast<double>(i) - 160000.0);
+  }
+}
+
+TEST(SweepReportsTest, RepeatReportsMatchSingleRun) {
+  std::vector<SweepPoint> points;
+  std::vector<std::string> reports;
+  for (const char* file : {"fig_chaos.json", "fig_geo.json", "fig_meta.json"}) {
+    ASSERT_TRUE(LoadSweepFile(ConfigPath(file), &points, &reports).ok());
+  }
+  ASSERT_EQ(reports, (std::vector<std::string>{"recovery_panel", "reference",
+                                               "meta_summary"}));
+  auto single =
+      RunSweepReports(reports, points, SyntheticOutcomes(points, 1), 1);
+  auto repeated =
+      RunSweepReports(reports, points, SyntheticOutcomes(points, 2), 2);
+  ASSERT_EQ(single.size(), 3u);
+  EXPECT_EQ(repeated, single);
+  for (const auto& [name, value] : repeated) {
+    EXPECT_EQ(value.find("/rep="), std::string::npos) << name << ": " << value;
+  }
+
+  // The recovery panel spans both FigChaosRecovery entries, in declaration
+  // order, with each point's configured lag (-1: recovery off).
+  Json panel = MustParse(single[0].second);
+  ASSERT_EQ(panel.items().size(), 4u);
+  const std::pair<const char*, int64_t> expected[] = {
+      {"FigChaosRecovery/rejoin_empty", -1},
+      {"FigChaosRecovery/lag_0us", 0},
+      {"FigChaosRecovery/lag_1000us", 1000},
+      {"FigChaosRecovery/lag_20000us", 20000}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(panel.items()[i].Find("name")->str(), expected[i].first);
+    int64_t lag = 0;
+    const Json* lag_us = panel.items()[i].Find("durability_lag_us");
+    ASSERT_TRUE(lag_us->GetInt64(&lag).ok());
+    EXPECT_EQ(lag, expected[i].second);
+  }
+  // Windows after the 2500 ms crash: 26..29 of the synthetic series.
+  EXPECT_NE(single[0].second.find("\"post_crash_availability\":0.5030"),
+            std::string::npos)
+      << single[0].second;
+  // meta_summary finds the meta point by its meta section.
+  EXPECT_NE(single[2].second.find("\"switches\":3}"), std::string::npos)
+      << single[2].second;
+}
+
+TEST(SweepReportsTest, UnknownOrRepeatedReportIsRejected) {
+  SweepSpec spec;
+  Status s = SweepSpec::FromJson(
+      MustParse(R"({"name": "x", "reports": ["reference", "nope"]})"), &spec);
+  ASSERT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("reports[1]"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("nope"), std::string::npos) << s.message();
+
+  s = SweepSpec::FromJson(
+      MustParse(R"({"name": "x", "reports": ["reference", "reference"]})"),
+      &spec);
+  ASSERT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("reports[1]"), std::string::npos) << s.message();
+
+  s = SweepSpec::FromJson(MustParse(R"({"name": "x", "reports": [1]})"),
+                          &spec);
+  ASSERT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("reports[0]"), std::string::npos) << s.message();
 }
 
 }  // namespace
