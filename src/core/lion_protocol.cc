@@ -10,10 +10,9 @@ namespace lion {
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {
-    std::shared_ptr<TxnPtr> txn;
+    TxnPtr txn;
     TxnDoneFn done;
     NodeId dst = kInvalidNode;
-    bool convertible = false;   // single-node feasible at buffering time
     bool used_remaster = false; // issued async remaster requests
     bool remaster_failed = false;
   };
@@ -64,7 +63,7 @@ void LionProtocol::OnEpoch(SimTime now) {
 }
 
 void LionProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   for (PartitionId p : parts) cluster_->router().RecordAccess(p);
   if (planner_ != nullptr) planner_->RecordTxn(parts, cluster_->sim()->Now());
 
@@ -87,6 +86,23 @@ bool LionProtocol::WorthRemastering(PartitionId pid, NodeId dst,
   return remaster_cost > 0.0 && remaster_cost <= remote_cost;
 }
 
+bool LionProtocol::ConvertibleTo(const Transaction& txn, NodeId dst,
+                                 std::vector<PartitionId>* need_remaster) const {
+  const RouterTable& table = cluster_->router();
+  for (PartitionId p : txn.Partitions()) {
+    if (table.PrimaryOf(p) == dst) continue;
+    if (table.HasSecondary(dst, p) &&
+        geo_placement_.AllowsPrimaryOn(table, p, dst) &&
+        WorthRemastering(p, dst, txn.OpsOn(p).size())) {
+      need_remaster->push_back(p);
+    } else {
+      need_remaster->clear();  // case 3: some replica missing (or too hot)
+      return false;
+    }
+  }
+  return true;
+}
+
 void LionProtocol::Execute(Transaction* txn, NodeId dst, ExecClass cls,
                            std::function<void(bool)> cb) {
   txn->set_exec_class(cls);
@@ -96,34 +112,12 @@ void LionProtocol::Execute(Transaction* txn, NodeId dst, ExecClass cls,
 }
 
 void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
-  NodeId dst = router_.Route(parts);
-
-  // Classify the three cases of Sec. III against the routed node.
+  NodeId dst = router_.Route(txn->Partitions());
   std::vector<PartitionId> need_remaster;
-  bool feasible = true;
-  for (PartitionId p : parts) {
-    if (cluster_->router().PrimaryOf(p) == dst) continue;
-    if (cluster_->router().HasSecondary(dst, p) &&
-        geo_placement_.AllowsPrimaryOn(cluster_->router(), p, dst) &&
-        WorthRemastering(p, dst, txn->OpsOn(p).size())) {
-      need_remaster.push_back(p);
-    } else {
-      feasible = false;  // case 3: some replica missing (or too hot to steal)
-      break;
-    }
-  }
+  bool feasible = ConvertibleTo(*txn, dst, &need_remaster);
 
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  auto finish = [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  };
+  auto finish = CommitOrRetry(std::move(txn), std::move(done));
 
   if (!feasible) {
     // Case 3: regular distributed transaction with 2PC.
@@ -160,30 +154,14 @@ void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
 }
 
 void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
-  NodeId dst = router_.Route(parts);
+  NodeId dst = router_.Route(txn->Partitions());
+  std::vector<PartitionId> need_remaster;
+  ConvertibleTo(*txn, dst, &need_remaster);
 
   Batch::Entry entry;
   entry.dst = dst;
   entry.done = std::move(done);
-  entry.convertible = true;
-
-  std::vector<PartitionId> need_remaster;
-  for (PartitionId p : parts) {
-    if (cluster_->router().PrimaryOf(p) == dst) continue;
-    Transaction* raw_txn = txn.get();
-    if (cluster_->router().HasSecondary(dst, p) &&
-        geo_placement_.AllowsPrimaryOn(cluster_->router(), p, dst) &&
-        WorthRemastering(p, dst, raw_txn->OpsOn(p).size())) {
-      need_remaster.push_back(p);
-    } else {
-      entry.convertible = false;
-      need_remaster.clear();
-      break;
-    }
-  }
-
-  entry.txn = std::make_shared<TxnPtr>(std::move(txn));
+  entry.txn = std::move(txn);
   std::shared_ptr<Batch> batch = current_batch_;
   batch->entries.push_back(std::move(entry));
   size_t entry_idx = batch->entries.size() - 1;
@@ -197,7 +175,7 @@ void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
     batch->outstanding_remasters += static_cast<int>(need_remaster.size());
     for (PartitionId p : need_remaster) {
       cluster_->remaster().Remaster(
-          p, entry.dst, [this, batch, entry_idx](bool ok) {
+          p, dst, [this, batch, entry_idx](bool ok) {
             if (!ok) batch->entries[entry_idx].remaster_failed = true;
             batch->outstanding_remasters--;
             if (batch->flushed && batch->outstanding_remasters == 0) {
@@ -231,28 +209,10 @@ void LionProtocol::FlushBatch() {
 
 void LionProtocol::ExecuteBatch(const std::shared_ptr<Batch>& batch) {
   for (auto& entry : batch->entries) {
-    Transaction* raw = entry.txn->get();
-    auto txn_shared = entry.txn;
-    TxnDoneFn done = entry.done;
-    auto finish = [this, txn_shared, done](bool committed) {
-      if (committed) {
-        metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-        done(std::move(*txn_shared));
-      } else {
-        RetryAfterBackoff(std::move(*txn_shared), done);
-      }
-    };
-
+    Transaction* raw = entry.txn.get();
     // Re-derive the execution class against the post-remaster placement.
-    bool single = true;
-    for (PartitionId p : raw->Partitions()) {
-      if (cluster_->router().PrimaryOf(p) != entry.dst) {
-        single = false;
-        break;
-      }
-    }
     ExecClass cls;
-    if (!single) {
+    if (!cluster_->router().AllPrimariesOn(raw->Partitions(), entry.dst)) {
       cls = ExecClass::kDistributed;
       fallback_distributed_++;
     } else if (entry.used_remaster && !entry.remaster_failed) {
@@ -261,7 +221,8 @@ void LionProtocol::ExecuteBatch(const std::shared_ptr<Batch>& batch) {
     } else {
       cls = ExecClass::kSingleNode;
     }
-    Execute(raw, entry.dst, cls, finish);
+    Execute(raw, entry.dst, cls,
+            CommitOrRetry(std::move(entry.txn), std::move(entry.done)));
   }
 }
 

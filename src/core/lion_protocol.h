@@ -94,6 +94,14 @@ class LionProtocol : public Protocol {
   /// single remote op is never worthwhile; a 5-op batch usually is.
   bool WorthRemastering(PartitionId pid, NodeId dst, size_t ops_on_pid) const;
 
+  /// Classifies running `txn` on `dst` into the cases of Sec. III. True when
+  /// it can run there as a single-node txn: `need_remaster` lists the
+  /// partitions to remaster first (empty: case 1, all primaries local;
+  /// otherwise case 2). False for case 3 (some replica missing or not worth
+  /// stealing), leaving `need_remaster` empty.
+  bool ConvertibleTo(const Transaction& txn, NodeId dst,
+                     std::vector<PartitionId>* need_remaster) const;
+
   LionOptions options_;
   TwoPhaseEngine engine_;
   TxnRouter router_;

@@ -36,10 +36,11 @@ void AriaProtocol::ExecuteBatch(std::vector<Item> batch) {
 
   for (size_t i = 0; i < state->items.size(); ++i) {
     Transaction* txn = state->items[i].txn->get();
-    NodeId coord = batch_util::HomeNode(cluster_, *txn);
+    const RouterTable& table = cluster_->router();
+    NodeId coord = table.HomeNode(txn->Partitions());
     state->coords[i] = coord;
     txn->set_coordinator(coord);
-    txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
+    txn->set_exec_class(table.AllPrimariesOn(txn->Partitions(), coord)
                             ? ExecClass::kSingleNode
                             : ExecClass::kDistributed);
     SimTime start = cluster_->sim()->Now();
@@ -60,14 +61,14 @@ void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
   NodeId coord = state->coords[index];
   const ClusterConfig& cfg = cluster_->config();
 
-  auto parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
   auto one_done = [this, state]() {
     if (--state->pending == 0) CommitPhase(state);
   };
   auto one_part = [this, state, txn, pending, one_done](PartitionId pid) {
-    for (const auto& op : txn->ops()) {
-      if (op.partition != pid || op.type != OpType::kWrite) continue;
+    for (const Operation& op : txn->OpsOn(pid)) {
+      if (op.type != OpType::kWrite) continue;
       if (op.is_insert) continue;  // unique keys need no reservation
       uint64_t k = ResKey(pid, op.key);
       auto it = state->write_res.find(k);
@@ -80,9 +81,7 @@ void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
 
   for (PartitionId pid : parts) {
     NodeId primary = cluster_->router().PrimaryOf(pid);
-    int writes = 0;
-    for (const auto& op : txn->ops())
-      if (op.partition == pid && op.type == OpType::kWrite) writes++;
+    int writes = txn->WritesOn(pid);
     if (primary == coord) {
       cluster_->pool(coord)->Submit(TaskPriority::kResume,
                                     writes * cfg.validation_cost_per_op,

@@ -19,15 +19,14 @@ namespace batch_util {
 inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
                       std::function<void()> done) {
   const ClusterConfig& cfg = cluster->config();
-  auto parts = txn->Partitions();
-  auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
+  auto pending = std::make_shared<int>(static_cast<int>(txn->Partitions().size()));
   auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
   SimTime setup = cfg.txn_setup_cost + txn->extra_compute();
 
   cluster->pool(coord)->Submit(
-      TaskPriority::kNew, setup, [cluster, txn, coord, parts, pending,
-                                  done_shared, cfg]() {
-        for (PartitionId pid : parts) {
+      TaskPriority::kNew, setup, [cluster, txn, coord, pending, done_shared,
+                                  cfg]() {
+        for (PartitionId pid : txn->Partitions()) {
           int n_ops = static_cast<int>(txn->OpsOn(pid).size());
           NodeId primary = cluster->router().PrimaryOf(pid);
           auto one_done = [pending, done_shared]() {
@@ -67,19 +66,17 @@ inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
 inline void ApplyWrites(Cluster* cluster, Transaction* txn, NodeId coord,
                         std::function<void()> done) {
   const ClusterConfig& cfg = cluster->config();
-  auto parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
   auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
   for (PartitionId pid : parts) {
-    int writes = 0;
-    for (const auto& op : txn->ops())
-      if (op.partition == pid && op.type == OpType::kWrite) writes++;
+    int writes = txn->WritesOn(pid);
     NodeId primary = cluster->router().PrimaryOf(pid);
     SimTime cost = cfg.log_write_cost + writes * cfg.op_local_cost;
     auto apply = [cluster, txn, pid, pending, done_shared]() {
       PartitionStore* store = cluster->store(pid);
-      for (const auto& op : txn->ops()) {
-        if (op.partition != pid || op.type != OpType::kWrite) continue;
+      for (const Operation& op : txn->OpsOn(pid)) {
+        if (op.type != OpType::kWrite) continue;
         store->Apply(op.key, op.write_value);
         cluster->replication().Append(pid, op.key, op.write_value);
       }
@@ -97,28 +94,6 @@ inline void ApplyWrites(Cluster* cluster, Transaction* txn, NodeId coord,
                               });
     }
   }
-}
-
-/// Node hosting the most of `txn`'s primary partitions.
-inline NodeId HomeNode(Cluster* cluster, const Transaction& txn) {
-  std::vector<int> count(cluster->num_nodes(), 0);
-  for (PartitionId pid : txn.Partitions())
-    count[cluster->router().PrimaryOf(pid)]++;
-  NodeId best = 0;
-  for (NodeId n = 1; n < cluster->num_nodes(); ++n)
-    if (count[n] > count[best]) best = n;
-  return best;
-}
-
-/// True if all primary partitions of `txn` live on one node.
-inline bool IsSingleHome(Cluster* cluster, const Transaction& txn) {
-  NodeId home = kInvalidNode;
-  for (PartitionId pid : txn.Partitions()) {
-    NodeId n = cluster->router().PrimaryOf(pid);
-    if (home == kInvalidNode) home = n;
-    else if (home != n) return false;
-  }
-  return true;
 }
 
 }  // namespace batch_util

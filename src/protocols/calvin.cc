@@ -6,6 +6,16 @@
 
 namespace lion {
 
+namespace {
+// Ops of `txn` on partitions whose primary is `node`.
+int LocalOps(const Transaction& txn, const RouterTable& table, NodeId node) {
+  int n = 0;
+  for (PartitionId pid : txn.Partitions())
+    if (table.PrimaryOf(pid) == node) n += static_cast<int>(txn.OpsOn(pid).size());
+  return n;
+}
+}  // namespace
+
 CalvinProtocol::CalvinProtocol(Cluster* cluster, MetricsCollector* metrics,
                                CalvinConfig config)
     : BatchProtocol(cluster, metrics), config_(config) {
@@ -29,7 +39,7 @@ void CalvinProtocol::ExecuteBatch(std::vector<Item> batch) {
 
 void CalvinProtocol::RunDeterministic(Item item) {
   Transaction* txn = item.txn->get();
-  auto parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   // Participant nodes (by current primary placement).
   std::vector<NodeId> participants;
   for (PartitionId pid : parts) {
@@ -56,9 +66,7 @@ void CalvinProtocol::RunDeterministic(Item item) {
     auto exec_pending = std::make_shared<int>(static_cast<int>(participants.size()));
     SimTime exec_start = cluster_->sim()->Now();
     for (NodeId np : participants) {
-      int local_ops = 0;
-      for (const auto& op : txn->ops())
-        if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
+      int local_ops = LocalOps(*txn, cluster_->router(), np);
       cluster_->pool(np)->Submit(
           TaskPriority::kResume,
           cfg.txn_setup_cost + local_ops * cfg.op_local_cost,
@@ -107,11 +115,8 @@ void CalvinProtocol::RunDeterministic(Item item) {
   // Lock acquisition through each participant's single-threaded manager, in
   // deterministic order (the batch arrives pre-ordered by the sequencer).
   for (NodeId np : participants) {
-    int local_ops = 0;
-    for (const auto& op : txn->ops())
-      if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
     lock_managers_[np]->Submit(TaskPriority::kService,
-                               local_ops * config_.lock_cost_per_op,
+                               LocalOps(*txn, cluster_->router(), np) * config_.lock_cost_per_op,
                                [locks_pending, after_locks_shared]() {
                                  if (--(*locks_pending) == 0)
                                    (*after_locks_shared)();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "protocols/twopc.h"
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -73,24 +71,13 @@ void ClayProtocol::Monitor() {
 }
 
 void ClayProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  for (PartitionId pid : txn->Partitions()) {
-    cluster_->router().RecordAccess(pid);
-  }
-
-  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(*txn, cluster_->router());
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
+  NodeId coord = cluster_->router().HomeNode(parts);
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
   engine_.Run(raw, coord, TwoPhaseEngine::Options{},
-              [this, txn_shared, done](bool committed) {
-                if (committed) {
-                  metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-                  done(std::move(*txn_shared));
-                } else {
-                  RetryAfterBackoff(std::move(*txn_shared), done);
-                }
-              });
+              CommitOrRetry(std::move(txn), std::move(done)));
 }
-
 
 // Self-registration: resolving "Clay" through ProtocolRegistry needs no
 // harness edits (see harness/registry.h).

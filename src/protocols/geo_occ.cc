@@ -7,13 +7,12 @@
 
 namespace lion {
 
-// Per-transaction validation round state. `locked` mirrors `parts`: only
-// partitions whose ValidateAndLock succeeded hold locks and need a release
-// message on the abort path.
+// Per-transaction validation round state. `locked` mirrors the txn's
+// Partitions(): only partitions whose ValidateAndLock succeeded hold locks
+// and need a release message on the abort path.
 struct GeoOccProtocol::TxnState {
   Item item;
   NodeId coord = 0;
-  std::vector<PartitionId> parts;
   std::vector<char> locked;
   int pending = 0;
   bool ok = true;
@@ -29,11 +28,11 @@ void GeoOccProtocol::ExecuteBatch(std::vector<Item> batch) {
     auto st = std::make_shared<TxnState>();
     st->item = std::move(item);
     Transaction* txn = st->item.txn->get();
-    st->coord = batch_util::HomeNode(cluster_, *txn);
-    st->parts = txn->Partitions();
-    st->locked.assign(st->parts.size(), 0);
+    const std::vector<PartitionId>& parts = txn->Partitions();
+    st->coord = cluster_->router().HomeNode(parts);
+    st->locked.assign(parts.size(), 0);
     txn->set_coordinator(st->coord);
-    txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
+    txn->set_exec_class(cluster_->router().AllPrimariesOn(parts, st->coord)
                             ? ExecClass::kSingleNode
                             : ExecClass::kDistributed);
     SimTime start = cluster_->sim()->Now();
@@ -51,11 +50,12 @@ void GeoOccProtocol::ValidatePhase(const std::shared_ptr<TxnState>& st) {
   // epoch-boundary, not per lock acquisition.
   Transaction* txn = st->item.txn->get();
   const ClusterConfig& cfg = cluster_->config();
-  st->pending = static_cast<int>(st->parts.size());
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  st->pending = static_cast<int>(parts.size());
   SimTime start = cluster_->sim()->Now();
 
-  for (size_t i = 0; i < st->parts.size(); ++i) {
-    PartitionId pid = st->parts[i];
+  for (size_t i = 0; i < parts.size(); ++i) {
+    PartitionId pid = parts[i];
     NodeId primary = cluster_->router().PrimaryOf(pid);
     int n_ops = static_cast<int>(txn->OpsOn(pid).size());
     SimTime cost = n_ops * cfg.validation_cost_per_op;
@@ -106,14 +106,13 @@ void GeoOccProtocol::ApplyPhase(const std::shared_ptr<TxnState>& st) {
   // commit), so all of an epoch's survivors become visible together.
   Transaction* txn = st->item.txn->get();
   const ClusterConfig& cfg = cluster_->config();
-  auto pending = std::make_shared<int>(static_cast<int>(st->parts.size()));
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
   SimTime start = cluster_->sim()->Now();
 
-  for (PartitionId pid : st->parts) {
+  for (PartitionId pid : parts) {
     NodeId primary = cluster_->router().PrimaryOf(pid);
-    int writes = 0;
-    for (const auto& op : txn->ops())
-      if (op.partition == pid && op.type == OpType::kWrite) writes++;
+    int writes = txn->WritesOn(pid);
     SimTime cost = cfg.log_write_cost + writes * cfg.op_local_cost;
     auto apply = [this, st, txn, pid, pending, start]() {
       Occ::ApplyAndUnlock(cluster_->store(pid), txn, &cluster_->replication());
@@ -140,8 +139,9 @@ void GeoOccProtocol::AbortPhase(const std::shared_ptr<TxnState>& st) {
   // Conflict: release whatever locks validation managed to take, then
   // re-queue for the next epoch (abort-and-retry).
   Transaction* txn = st->item.txn->get();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   auto release_pending = std::make_shared<int>(0);
-  for (size_t i = 0; i < st->parts.size(); ++i) {
+  for (size_t i = 0; i < parts.size(); ++i) {
     if (!st->locked[i]) continue;
     (*release_pending)++;
   }
@@ -150,9 +150,9 @@ void GeoOccProtocol::AbortPhase(const std::shared_ptr<TxnState>& st) {
     requeue();
     return;
   }
-  for (size_t i = 0; i < st->parts.size(); ++i) {
+  for (size_t i = 0; i < parts.size(); ++i) {
     if (!st->locked[i]) continue;
-    PartitionId pid = st->parts[i];
+    PartitionId pid = parts[i];
     NodeId primary = cluster_->router().PrimaryOf(pid);
     auto release = [this, txn, pid, release_pending, requeue]() {
       Occ::ReleaseLocks(cluster_->store(pid), txn);

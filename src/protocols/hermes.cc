@@ -28,9 +28,10 @@ void HermesProtocol::ExecuteBatch(std::vector<Item> batch) {
 
 void HermesProtocol::MigrateThenRun(Item item) {
   Transaction* txn = item.txn->get();
-  NodeId dst = batch_util::HomeNode(cluster_, *txn);
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  NodeId dst = cluster_->router().HomeNode(parts);
   auto missing = std::make_shared<std::vector<PartitionId>>();
-  for (PartitionId pid : txn->Partitions()) {
+  for (PartitionId pid : parts) {
     if (cluster_->router().PrimaryOf(pid) != dst) missing->push_back(pid);
   }
   txn->set_coordinator(dst);

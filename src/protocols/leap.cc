@@ -1,7 +1,5 @@
 #include "protocols/leap.h"
 
-#include "protocols/twopc.h"
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -38,25 +36,15 @@ void LeapProtocol::MigrateNext(Transaction* txn, NodeId coord,
 }
 
 void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(*txn, cluster_->router());
-  for (PartitionId pid : txn->Partitions()) cluster_->router().RecordAccess(pid);
-
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  NodeId coord = cluster_->router().HomeNode(parts);
+  for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
   auto missing = std::make_shared<std::vector<PartitionId>>();
-  for (PartitionId pid : txn->Partitions()) {
+  for (PartitionId pid : parts) {
     if (cluster_->router().PrimaryOf(pid) != coord) missing->push_back(pid);
   }
-
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  auto finish = [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  };
-
+  auto finish = CommitOrRetry(std::move(txn), std::move(done));
   if (!missing->empty()) raw->set_exec_class(ExecClass::kRemastered);
   // Pull every remote partition's mastership to the coordinator, one by one
   // (each op waits for its migration), then execute as single-node.
@@ -65,7 +53,6 @@ void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
     engine_.Run(raw, coord, opts, finish);
   });
 }
-
 
 // Self-registration: resolving "Leap" through ProtocolRegistry needs no
 // harness edits (see harness/registry.h).

@@ -71,9 +71,10 @@ void LotusProtocol::ExecuteBatch(std::vector<Item> batch) {
       }
     }
 
-    NodeId coord = batch_util::HomeNode(cluster_, *txn);
+    const RouterTable& table = cluster_->router();
+    NodeId coord = table.HomeNode(txn->Partitions());
     txn->set_coordinator(coord);
-    txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
+    txn->set_exec_class(table.AllPrimariesOn(txn->Partitions(), coord)
                             ? ExecClass::kSingleNode
                             : ExecClass::kDistributed);
     auto item_shared = std::make_shared<Item>(std::move(item));

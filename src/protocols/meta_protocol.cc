@@ -77,7 +77,7 @@ int MetaProtocol::RouteChild(const std::vector<PartitionId>& parts) const {
 
 void MetaProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   const SimTime now = cluster_->sim()->Now();
-  std::vector<PartitionId> parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = txn->Partitions();
   for (PartitionId p : parts) {
     if (parts_[p].switching_to >= 0) {
       // A touched partition is mid-handoff: park until the flip completes.
@@ -99,9 +99,8 @@ void MetaProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
     ps.inflight++;
   }
   int child = RouteChild(parts);
-  TxnDoneFn wrapped = [this, parts = std::move(parts),
-                       done = std::move(done)](TxnPtr finished) mutable {
-    for (PartitionId p : parts) {
+  TxnDoneFn wrapped = [this, done = std::move(done)](TxnPtr finished) mutable {
+    for (PartitionId p : finished->Partitions()) {
       PartitionState& ps = parts_[p];
       ps.inflight--;
       if (ps.switching_to >= 0 && ps.inflight == 0) {

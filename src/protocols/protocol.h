@@ -114,7 +114,7 @@ class Protocol {
   /// here once the transaction's partitions are available.
   virtual void SubmitTxn(TxnPtr txn, TxnDoneFn done) = 0;
 
-  /// First touched partition that cannot currently serve the transaction:
+  /// Lowest touched partition that cannot currently serve the transaction:
   /// its primary is down, or it is separated from the other touched
   /// primaries by an active network partition (mutual reachability is
   /// checked against the first primary as anchor — with one cut there are
@@ -123,8 +123,7 @@ class Protocol {
   PartitionId FirstUnavailablePartition(const Transaction& txn) const {
     const RouterTable& table = cluster_->router();
     NodeId anchor = kInvalidNode;
-    for (const Operation& op : txn.ops()) {
-      PartitionId pid = op.partition;
+    for (PartitionId pid : txn.Partitions()) {
       NodeId primary = table.PrimaryOf(pid);
       if (primary == kInvalidNode || !table.IsNodeUp(primary)) return pid;
       if (anchor == kInvalidNode) {
@@ -134,6 +133,21 @@ class Protocol {
       }
     }
     return kInvalidPartition;
+  }
+
+  /// Completion for one commit attempt of `txn`: on commit, records it and
+  /// hands the transaction back through `done`; on abort, retries it after
+  /// a backoff.
+  std::function<void(bool)> CommitOrRetry(TxnPtr txn, TxnDoneFn done) {
+    auto owned = std::make_shared<TxnPtr>(std::move(txn));
+    return [this, owned, done = std::move(done)](bool committed) {
+      if (committed) {
+        metrics_->OnCommit(**owned, cluster_->sim()->Now());
+        done(std::move(*owned));
+      } else {
+        RetryAfterBackoff(std::move(*owned), done);
+      }
+    };
   }
 
   /// Re-submits an aborted transaction after a small randomized backoff.

@@ -29,8 +29,8 @@ void StarProtocol::ExecuteBatch(std::vector<Item> batch) {
   std::vector<Item> cross;
   for (auto& item : batch) {
     Transaction* txn = item.txn->get();
-    if (batch_util::IsSingleHome(cluster_, *txn)) {
-      NodeId home = batch_util::HomeNode(cluster_, *txn);
+    NodeId home = cluster_->router().HomeNode(txn->Partitions());
+    if (cluster_->router().AllPrimariesOn(txn->Partitions(), home)) {
       txn->set_exec_class(ExecClass::kSingleNode);
       txn->set_coordinator(home);
       Transaction* raw = txn;
@@ -83,11 +83,7 @@ void StarProtocol::RunOnSuperNode(Item item) {
   cluster_->pool(config_.super_node)
       ->Submit(TaskPriority::kNew, exec_cost, [this, txn, item_shared, submit,
                                                apply_cost]() {
-        txn->breakdown().scheduling += 0;
         txn->breakdown().execution += cluster_->sim()->Now() - submit;
-        for (PartitionId pid : txn->Partitions()) {
-          (void)pid;
-        }
         cluster_->pool(config_.super_node)
             ->Submit(TaskPriority::kResume, apply_cost, [this, txn,
                                                          item_shared]() {

@@ -9,35 +9,14 @@ namespace lion {
 TwoPcProtocol::TwoPcProtocol(Cluster* cluster, MetricsCollector* metrics)
     : Protocol(cluster, metrics), engine_(cluster, metrics) {}
 
-NodeId TwoPcProtocol::RouteToMostPrimaries(const Transaction& txn,
-                                           const RouterTable& table) {
-  std::vector<int> count(table.num_nodes(), 0);
-  for (PartitionId pid : txn.Partitions()) count[table.PrimaryOf(pid)]++;
-  NodeId best = 0;
-  for (NodeId n = 1; n < table.num_nodes(); ++n) {
-    if (count[n] > count[best]) best = n;
-  }
-  return best;
-}
-
 void TwoPcProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  NodeId coord = RouteToMostPrimaries(*txn, cluster_->router());
-  for (PartitionId pid : txn->Partitions()) {
-    cluster_->router().RecordAccess(pid);
-  }
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  NodeId coord = cluster_->router().HomeNode(parts);
+  for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  TwoPhaseEngine::Options opts;
-  engine_.Run(raw, coord, opts, [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  });
+  engine_.Run(raw, coord, TwoPhaseEngine::Options{},
+              CommitOrRetry(std::move(txn), std::move(done)));
 }
-
 
 // Self-registration: resolving "2PC" through ProtocolRegistry needs no
 // harness edits (see harness/registry.h).

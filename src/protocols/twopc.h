@@ -16,11 +16,6 @@ class TwoPcProtocol : public Protocol {
   std::string name() const override { return "2PC"; }
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override;
 
-  /// Picks the node hosting the most primary partitions of `txn`
-  /// (ties: lowest id). Shared with other primary-affinity protocols.
-  static NodeId RouteToMostPrimaries(const Transaction& txn,
-                                     const RouterTable& table);
-
  private:
   TwoPhaseEngine engine_;
 };

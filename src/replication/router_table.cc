@@ -25,6 +25,22 @@ void RouterTable::InitRoundRobin(int replicas) {
   }
 }
 
+NodeId RouterTable::HomeNode(const std::vector<PartitionId>& parts) const {
+  std::vector<int> count(num_nodes_, 0);
+  for (PartitionId pid : parts) count[PrimaryOf(pid)]++;
+  NodeId best = 0;
+  for (NodeId n = 1; n < num_nodes_; ++n)
+    if (count[n] > count[best]) best = n;
+  return best;
+}
+
+bool RouterTable::AllPrimariesOn(const std::vector<PartitionId>& parts,
+                                 NodeId node) const {
+  for (PartitionId pid : parts)
+    if (PrimaryOf(pid) != node) return false;
+  return true;
+}
+
 void RouterTable::RecordAccess(PartitionId pid, double weight) {
   freq_[pid] += weight;
   max_freq_ = std::max(max_freq_, freq_[pid]);

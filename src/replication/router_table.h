@@ -41,6 +41,13 @@ class RouterTable {
     return groups_[pid].HasSecondary(node);
   }
 
+  /// Node holding the most primaries of `parts` (ties: lowest id): the
+  /// coordinator of primary-affinity routing and a txn's home node.
+  NodeId HomeNode(const std::vector<PartitionId>& parts) const;
+
+  /// True if every partition of `parts` has its primary on `node`.
+  bool AllPrimariesOn(const std::vector<PartitionId>& parts, NodeId node) const;
+
   /// Bumps the access counter of `pid` (called once per touching txn).
   void RecordAccess(PartitionId pid, double weight = 1.0);
 

@@ -3,9 +3,7 @@
 namespace lion {
 
 void Occ::ReadOps(PartitionStore* store, Transaction* txn) {
-  PartitionId pid = store->id();
-  for (auto& op : txn->ops()) {
-    if (op.partition != pid) continue;
+  for (Operation& op : txn->OpsOn(store->id())) {
     Value value = 0;
     Version version = 0;
     if (store->Read(op.key, &value, &version).ok()) {
@@ -20,18 +18,18 @@ void Occ::ReadOps(PartitionStore* store, Transaction* txn) {
 }
 
 bool Occ::ValidateAndLock(PartitionStore* store, Transaction* txn) {
-  PartitionId pid = store->id();
+  auto ops = txn->OpsOn(store->id());
   // Lock the write set first (deterministic order: plan order).
-  for (auto& op : txn->ops()) {
-    if (op.partition != pid || op.type != OpType::kWrite) continue;
+  for (const Operation& op : ops) {
+    if (op.type != OpType::kWrite) continue;
     if (!store->TryLock(op.key, txn->id())) {
       ReleaseLocks(store, txn);
       return false;
     }
   }
   // Validate the read set: versions unchanged and not locked by others.
-  for (auto& op : txn->ops()) {
-    if (op.partition != pid || op.type != OpType::kRead) continue;
+  for (const Operation& op : ops) {
+    if (op.type != OpType::kRead) continue;
     if (store->IsLockedByOther(op.key, txn->id()) ||
         store->VersionOf(op.key) != op.read_version) {
       ReleaseLocks(store, txn);
@@ -44,8 +42,8 @@ bool Occ::ValidateAndLock(PartitionStore* store, Transaction* txn) {
 void Occ::ApplyAndUnlock(PartitionStore* store, Transaction* txn,
                          ReplicationManager* replication) {
   PartitionId pid = store->id();
-  for (auto& op : txn->ops()) {
-    if (op.partition != pid || op.type != OpType::kWrite) continue;
+  for (const Operation& op : txn->OpsOn(pid)) {
+    if (op.type != OpType::kWrite) continue;
     store->Apply(op.key, op.write_value);
     if (replication != nullptr) replication->Append(pid, op.key, op.write_value);
     store->Unlock(op.key, txn->id());
@@ -53,9 +51,8 @@ void Occ::ApplyAndUnlock(PartitionStore* store, Transaction* txn,
 }
 
 void Occ::ReleaseLocks(PartitionStore* store, Transaction* txn) {
-  PartitionId pid = store->id();
-  for (auto& op : txn->ops()) {
-    if (op.partition != pid || op.type != OpType::kWrite) continue;
+  for (const Operation& op : txn->OpsOn(store->id())) {
+    if (op.type != OpType::kWrite) continue;
     store->Unlock(op.key, txn->id());
   }
 }

@@ -55,11 +55,48 @@ struct PhaseBreakdown {
   }
 };
 
-/// A transaction: the workload generator fills in `ops` (the paper's
-/// TxnParts metadata is the distinct partition list derived from them) and
-/// protocols drive it to commit, possibly restarting it on OCC aborts.
+/// A transaction: the workload generator fills in `ops` and protocols drive
+/// it to commit, possibly restarting it on OCC aborts.
+///
+/// The transaction owns its per-partition view of `ops` (the paper's TxnParts
+/// metadata): the distinct partitions touched, and for each one its ops in
+/// plan order and its write count. The view is built on first read and
+/// rebuilt if ops were appended since; ops must not be re-targeted to another
+/// partition or change type once it has been read.
 class Transaction {
  public:
+  /// One partition's ops in plan order, viewed through the owning
+  /// transaction; valid until ops are appended or the transaction is freed.
+  template <typename Op>
+  class OpRange {
+   public:
+    class iterator {
+     public:
+      iterator(Op* ops, const uint32_t* at) : ops_(ops), at_(at) {}
+      Op& operator*() const { return ops_[*at_]; }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      bool operator!=(const iterator& o) const { return at_ != o.at_; }
+
+     private:
+      Op* ops_;
+      const uint32_t* at_;
+    };
+
+    OpRange(Op* ops, const uint32_t* begin, const uint32_t* end)
+        : ops_(ops), begin_(begin), end_(end) {}
+    iterator begin() const { return {ops_, begin_}; }
+    iterator end() const { return {ops_, end_}; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+
+   private:
+    Op* ops_;
+    const uint32_t* begin_;
+    const uint32_t* end_;
+  };
+
   Transaction(TxnId id, SimTime created_at) : id_(id), created_at_(created_at) {}
 
   TxnId id() const { return id_; }
@@ -69,28 +106,23 @@ class Transaction {
   const std::vector<Operation>& ops() const { return ops_; }
 
   /// Distinct partitions touched, ascending (the TxnParts of TxnMeta).
-  std::vector<PartitionId> Partitions() const {
-    std::vector<PartitionId> parts;
-    parts.reserve(ops_.size());
-    for (const auto& op : ops_) parts.push_back(op.partition);
-    std::sort(parts.begin(), parts.end());
-    parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
-    return parts;
+  const std::vector<PartitionId>& Partitions() const {
+    UpdateView();
+    return parts_;
   }
 
-  /// Operations targeting `pid`, in plan order.
-  std::vector<Operation*> OpsOn(PartitionId pid) {
-    std::vector<Operation*> out;
-    for (auto& op : ops_)
-      if (op.partition == pid) out.push_back(&op);
-    return out;
+  /// Operations on `pid` in plan order (empty when `pid` is not touched).
+  OpRange<Operation> OpsOn(PartitionId pid) {
+    const Slice& s = SliceOf(pid);
+    return {ops_.data(), op_order_.data() + s.begin, op_order_.data() + s.end};
+  }
+  OpRange<const Operation> OpsOn(PartitionId pid) const {
+    const Slice& s = SliceOf(pid);
+    return {ops_.data(), op_order_.data() + s.begin, op_order_.data() + s.end};
   }
 
-  bool HasWriteOn(PartitionId pid) const {
-    for (const auto& op : ops_)
-      if (op.partition == pid && op.type == OpType::kWrite) return true;
-    return false;
-  }
+  /// Number of writes on `pid`.
+  int WritesOn(PartitionId pid) const { return SliceOf(pid).writes; }
 
   /// Additional coordinator-side compute (TPC-C business logic).
   SimTime extra_compute() const { return extra_compute_; }
@@ -134,6 +166,57 @@ class Transaction {
   NodeId coordinator_ = kInvalidNode;
   ExecClass exec_class_ = ExecClass::kSingleNode;
   PhaseBreakdown breakdown_;
+
+  // The per-partition view: slices_[i] covers partition parts_[i] and
+  // indexes op_order_, which lists op positions grouped by partition (plan
+  // order within each group).
+  struct Slice {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    int writes = 0;
+  };
+  mutable std::vector<PartitionId> parts_;
+  mutable std::vector<Slice> slices_;
+  mutable std::vector<uint32_t> op_order_;
+  mutable size_t viewed_ops_ = 0;  // ops_.size() the view was built for
+
+  void UpdateView() const {
+    if (viewed_ops_ == ops_.size()) return;
+    viewed_ops_ = ops_.size();
+    parts_.clear();
+    for (const Operation& op : ops_) parts_.push_back(op.partition);
+    std::sort(parts_.begin(), parts_.end());
+    parts_.erase(std::unique(parts_.begin(), parts_.end()), parts_.end());
+    // Counting sort of op positions by partition: size each slice, lay the
+    // slices out back to back, then fill them in plan order.
+    slices_.assign(parts_.size(), Slice{});
+    for (const Operation& op : ops_) {
+      Slice& s = slices_[IndexOf(op.partition)];
+      s.end++;
+      if (op.type == OpType::kWrite) s.writes++;
+    }
+    uint32_t at = 0;
+    for (Slice& s : slices_) {
+      s.begin = at;
+      at += s.end;
+      s.end = s.begin;
+    }
+    op_order_.resize(ops_.size());
+    for (uint32_t i = 0; i < ops_.size(); ++i)
+      op_order_[slices_[IndexOf(ops_[i].partition)].end++] = i;
+  }
+
+  size_t IndexOf(PartitionId pid) const {
+    return static_cast<size_t>(
+        std::lower_bound(parts_.begin(), parts_.end(), pid) - parts_.begin());
+  }
+
+  const Slice& SliceOf(PartitionId pid) const {
+    static const Slice kEmpty;
+    UpdateView();
+    size_t i = IndexOf(pid);
+    return i < parts_.size() && parts_[i] == pid ? slices_[i] : kEmpty;
+  }
 };
 
 using TxnPtr = std::unique_ptr<Transaction>;

@@ -14,9 +14,6 @@ struct TwoPhaseEngine::Ctx {
   Options opts;
   std::function<void(bool)> done;
 
-  std::vector<PartitionId> parts;
-  std::vector<int> ops_per_part;
-  std::vector<int> writes_per_part;
   bool single_node = false;
 
   int pending = 0;
@@ -29,16 +26,7 @@ struct TwoPhaseEngine::Ctx {
   SimTime commit_end = 0;
   SimTime repl_wait = 0;  // prepare-phase secondary-ack wait (summed)
 
-  int OpsOn(PartitionId pid) const {
-    for (size_t i = 0; i < parts.size(); ++i)
-      if (parts[i] == pid) return ops_per_part[i];
-    return 0;
-  }
-  int WritesOn(PartitionId pid) const {
-    for (size_t i = 0; i < parts.size(); ++i)
-      if (parts[i] == pid) return writes_per_part[i];
-    return 0;
-  }
+  const std::vector<PartitionId>& parts() const { return txn->Partitions(); }
 };
 
 TwoPhaseEngine::TwoPhaseEngine(Cluster* cluster, MetricsCollector* metrics)
@@ -55,28 +43,11 @@ void TwoPhaseEngine::Run(Transaction* txn, NodeId coordinator,
   ctx->coord = coordinator;
   ctx->opts = opts;
   ctx->done = std::move(done);
-  ctx->parts = txn->Partitions();
-  ctx->ops_per_part.assign(ctx->parts.size(), 0);
-  ctx->writes_per_part.assign(ctx->parts.size(), 0);
-  for (const auto& op : txn->ops()) {
-    for (size_t i = 0; i < ctx->parts.size(); ++i) {
-      if (ctx->parts[i] == op.partition) {
-        ctx->ops_per_part[i]++;
-        if (op.type == OpType::kWrite) ctx->writes_per_part[i]++;
-        break;
-      }
-    }
-  }
+  ctx->single_node =
+      cluster_->router().AllPrimariesOn(txn->Partitions(), coordinator);
   txn->set_coordinator(coordinator);
 
   const ClusterConfig& cfg = cluster_->config();
-  ctx->single_node = true;
-  for (PartitionId p : ctx->parts) {
-    if (cluster_->router().PrimaryOf(p) != coordinator) {
-      ctx->single_node = false;
-      break;
-    }
-  }
   ctx->submit_at = cluster_->sim()->Now();
 
   SimTime setup = cfg.txn_setup_cost + txn->extra_compute();
@@ -90,15 +61,15 @@ void TwoPhaseEngine::Run(Transaction* txn, NodeId coordinator,
 }
 
 void TwoPhaseEngine::StartExecution(const std::shared_ptr<Ctx>& ctx) {
-  ctx->pending = static_cast<int>(ctx->parts.size());
-  for (PartitionId pid : ctx->parts) ExecutePartition(ctx, pid);
+  ctx->pending = static_cast<int>(ctx->parts().size());
+  for (PartitionId pid : ctx->parts()) ExecutePartition(ctx, pid);
 }
 
 void TwoPhaseEngine::ExecutePartition(const std::shared_ptr<Ctx>& ctx,
                                       PartitionId pid) {
   const ClusterConfig& cfg = cluster_->config();
   NodeId primary = cluster_->router().PrimaryOf(pid);
-  int n_ops = ctx->OpsOn(pid);
+  int n_ops = static_cast<int>(ctx->txn->OpsOn(pid).size());
 
   auto run_local = [this, ctx, pid, n_ops, cfg]() {
     // Reads execute as their own task so that concurrent commits on other
@@ -152,14 +123,14 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
   const ClusterConfig& cfg = cluster_->config();
   int total_ops = static_cast<int>(ctx->txn->ops().size());
   int total_writes = 0;
-  for (int w : ctx->writes_per_part) total_writes += w;
+  for (PartitionId pid : ctx->parts()) total_writes += ctx->txn->WritesOn(pid);
   SimTime cost = total_ops * cfg.validation_cost_per_op + cfg.log_write_cost +
                  total_writes * cfg.op_local_cost;
 
   cluster_->pool(ctx->coord)->Submit(
       TaskPriority::kResume, cost, [this, ctx]() {
         bool ok = true;
-        for (PartitionId pid : ctx->parts) {
+        for (PartitionId pid : ctx->parts()) {
           if (!Occ::ValidateAndLock(cluster_->store(pid), ctx->txn)) {
             ok = false;
             break;
@@ -173,7 +144,7 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
           Finalize(ctx, false);
           return;
         }
-        for (PartitionId pid : ctx->parts) {
+        for (PartitionId pid : ctx->parts()) {
           Occ::ApplyAndUnlock(cluster_->store(pid), ctx->txn,
                               &cluster_->replication());
         }
@@ -185,17 +156,17 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
 }
 
 void TwoPhaseEngine::StartPrepare(const std::shared_ptr<Ctx>& ctx) {
-  ctx->pending = static_cast<int>(ctx->parts.size());
+  ctx->pending = static_cast<int>(ctx->parts().size());
   ctx->vote_failed = false;
-  for (PartitionId pid : ctx->parts) PreparePartition(ctx, pid);
+  for (PartitionId pid : ctx->parts()) PreparePartition(ctx, pid);
 }
 
 void TwoPhaseEngine::PreparePartition(const std::shared_ptr<Ctx>& ctx,
                                       PartitionId pid) {
   const ClusterConfig& cfg = cluster_->config();
   NodeId participant = cluster_->router().PrimaryOf(pid);
-  int n_ops = ctx->OpsOn(pid);
-  int n_writes = ctx->WritesOn(pid);
+  int n_ops = static_cast<int>(ctx->txn->OpsOn(pid).size());
+  int n_writes = ctx->txn->WritesOn(pid);
   SimTime handler_cost =
       n_ops * cfg.validation_cost_per_op + cfg.log_write_cost;
 
@@ -271,10 +242,10 @@ void TwoPhaseEngine::OnVote(const std::shared_ptr<Ctx>& ctx, bool yes) {
 
 void TwoPhaseEngine::StartCommit(const std::shared_ptr<Ctx>& ctx) {
   const ClusterConfig& cfg = cluster_->config();
-  ctx->pending = static_cast<int>(ctx->parts.size());
-  for (PartitionId pid : ctx->parts) {
+  ctx->pending = static_cast<int>(ctx->parts().size());
+  for (PartitionId pid : ctx->parts()) {
     NodeId participant = cluster_->router().PrimaryOf(pid);
-    int n_writes = ctx->WritesOn(pid);
+    int n_writes = ctx->txn->WritesOn(pid);
     SimTime apply_cost = cfg.log_write_cost + n_writes * cfg.op_local_cost;
     cluster_->network().Send(
         ctx->coord, participant, MessageSizes::kCommitDecision,

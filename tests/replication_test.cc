@@ -110,6 +110,29 @@ TEST(RouterTableTest, RoundRobinCapsAtNodeCount) {
     EXPECT_EQ(table.group(p).LiveReplicaCount(), 2);
 }
 
+TEST(RouterTableTest, HomeNodeHoldsMostPrimaries) {
+  RouterTable table(3, 6);
+  table.InitRoundRobin(2);
+  // Partitions 0,3 -> node 0; partition 1 -> node 1.
+  EXPECT_EQ(table.HomeNode({0, 1, 3}), 0);
+  EXPECT_EQ(table.HomeNode({1, 2, 4}), 1);
+}
+
+TEST(RouterTableTest, HomeNodeTiesGoToLowestId) {
+  RouterTable table(4, 8);  // primary of p is node p % 4
+  EXPECT_EQ(table.HomeNode({1, 3}), 1);
+  EXPECT_EQ(table.HomeNode({2, 3, 6, 7}), 2);
+  EXPECT_EQ(table.HomeNode({}), 0);
+}
+
+TEST(RouterTableTest, AllPrimariesOn) {
+  RouterTable table(2, 4);  // primaries: 0->0, 1->1, 2->0, 3->1
+  EXPECT_TRUE(table.AllPrimariesOn({0, 2}, 0));
+  EXPECT_FALSE(table.AllPrimariesOn({0, 2}, 1));
+  EXPECT_FALSE(table.AllPrimariesOn({0, 1}, 0));
+  EXPECT_TRUE(table.AllPrimariesOn({}, 1));
+}
+
 TEST(RouterTableTest, FrequencyNormalization) {
   RouterTable table(2, 4);
   table.RecordAccess(0, 10.0);

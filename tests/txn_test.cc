@@ -46,19 +46,55 @@ TEST(TransactionTest, PartitionsAreSortedUnique) {
   EXPECT_EQ(txn->Partitions(), (std::vector<PartitionId>{1, 3}));
 }
 
-TEST(TransactionTest, OpsOnFiltersByPartition) {
-  auto txn = MakeTxn(1, {{3, 1, OpType::kRead, 0},
-                         {1, 2, OpType::kWrite, 5},
-                         {3, 9, OpType::kRead, 0}});
-  EXPECT_EQ(txn->OpsOn(3).size(), 2u);
-  EXPECT_EQ(txn->OpsOn(1).size(), 1u);
-  EXPECT_EQ(txn->OpsOn(7).size(), 0u);
+std::vector<Key> KeysOn(const Transaction& txn, PartitionId pid) {
+  std::vector<Key> keys;
+  for (const Operation& op : txn.OpsOn(pid)) keys.push_back(op.key);
+  return keys;
 }
 
-TEST(TransactionTest, HasWriteOn) {
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0}, {1, 2, OpType::kWrite, 5}});
-  EXPECT_FALSE(txn->HasWriteOn(0));
-  EXPECT_TRUE(txn->HasWriteOn(1));
+TEST(TransactionTest, OpsOnFiltersByPartition) {
+  auto txn = MakeTxn(1, {{3, 7, OpType::kRead, 0},
+                         {1, 2, OpType::kWrite, 5},
+                         {3, 1, OpType::kWrite, 0},
+                         {1, 8, OpType::kRead, 0},
+                         {3, 4, OpType::kRead, 0}});
+  // Each partition's ops in plan order, not key order.
+  EXPECT_EQ(KeysOn(*txn, 3), (std::vector<Key>{7, 1, 4}));
+  EXPECT_EQ(KeysOn(*txn, 1), (std::vector<Key>{2, 8}));
+  EXPECT_EQ(txn->OpsOn(7).size(), 0u);
+  // The range aliases the txn's own ops.
+  for (Operation& op : txn->OpsOn(1)) op.executed = true;
+  EXPECT_TRUE(txn->ops()[1].executed);
+  EXPECT_TRUE(txn->ops()[3].executed);
+  EXPECT_FALSE(txn->ops()[0].executed);
+}
+
+TEST(TransactionTest, WritesOnCountsPerPartition) {
+  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0},
+                         {2, 2, OpType::kWrite, 5},
+                         {2, 3, OpType::kWrite, 5},
+                         {0, 4, OpType::kWrite, 5},
+                         {2, 5, OpType::kRead, 0}});
+  EXPECT_EQ(txn->WritesOn(0), 1);
+  EXPECT_EQ(txn->WritesOn(2), 2);
+  EXPECT_EQ(txn->WritesOn(1), 0);
+}
+
+TEST(TransactionTest, ViewFollowsAppendedOps) {
+  auto txn = MakeTxn(1, {{4, 1, OpType::kRead, 0}});
+  EXPECT_EQ(txn->Partitions(), (std::vector<PartitionId>{4}));
+  Operation op;
+  op.partition = 2;
+  op.key = 9;
+  op.type = OpType::kWrite;
+  txn->ops().push_back(op);
+  op.partition = 4;
+  op.key = 3;
+  txn->ops().push_back(op);
+  EXPECT_EQ(txn->Partitions(), (std::vector<PartitionId>{2, 4}));
+  EXPECT_EQ(KeysOn(*txn, 4), (std::vector<Key>{1, 3}));
+  EXPECT_EQ(txn->WritesOn(2), 1);
+  EXPECT_EQ(txn->WritesOn(4), 1);
 }
 
 TEST(TransactionTest, ResetForRestartClearsRuntime) {
@@ -71,6 +107,15 @@ TEST(TransactionTest, ResetForRestartClearsRuntime) {
   EXPECT_EQ(txn->ops()[0].read_version, 0u);
   EXPECT_FALSE(txn->ops()[0].executed);
   EXPECT_EQ(txn->restarts(), 1);
+}
+
+TEST(TransactionTest, ResetForRestartKeepsView) {
+  auto txn = MakeTxn(1, {{5, 1, OpType::kWrite, 3}, {0, 2, OpType::kRead, 0}});
+  const std::vector<PartitionId>& parts = txn->Partitions();
+  txn->ResetForRestart();
+  EXPECT_EQ(parts, (std::vector<PartitionId>{0, 5}));
+  EXPECT_EQ(KeysOn(*txn, 5), (std::vector<Key>{1}));
+  EXPECT_EQ(txn->WritesOn(5), 1);
 }
 
 TEST(TransactionTest, BreakdownTotals) {
@@ -297,16 +342,6 @@ TEST(TwoPhaseEngineTest, BreakdownCoversLatency) {
 }
 
 // --- 2PC protocol + driver end to end -------------------------------------------
-
-TEST(TwoPcProtocolTest, RouteToMostPrimaries) {
-  RouterTable table(3, 6);
-  table.InitRoundRobin(2);
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0},
-                         {3, 1, OpType::kRead, 0},
-                         {1, 1, OpType::kRead, 0}});
-  // Partitions 0,3 -> node 0; partition 1 -> node 1.
-  EXPECT_EQ(TwoPcProtocol::RouteToMostPrimaries(*txn, table), 0);
-}
 
 TEST(TwoPcProtocolTest, ClosedLoopCommitsTransactions) {
   Simulator sim;
