@@ -40,9 +40,9 @@ struct ExperimentConfig {
   LionOptions lion;          // tuned per variant by the registered factories
   PredictorConfig predictor;
   ClayConfig clay;
-  /// Simulator internals (event-scheduler choice); results are identical
-  /// under every setting, so this is a performance A/B knob, sweepable like
-  /// any other field.
+  /// Simulator internals (event-scheduler choice). Results are identical
+  /// under every setting, so this is not a config-schema field: the
+  /// scheduler equivalence tests and the perf baseline set it in C++.
   SimConfig sim;
   /// Scripted fault schedule + degradation knobs; inactive (and without
   /// any effect on results) while the schedule is empty.
