@@ -19,7 +19,8 @@ namespace batch_util {
 inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
                       std::function<void()> done) {
   const ClusterConfig& cfg = cluster->config();
-  auto pending = std::make_shared<int>(static_cast<int>(txn->Partitions().size()));
+  auto pending =
+      std::make_shared<int>(static_cast<int>(txn->Partitions().size()));
   auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
   SimTime setup = cfg.txn_setup_cost + txn->extra_compute();
 

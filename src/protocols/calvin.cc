@@ -11,7 +11,7 @@ namespace {
 int LocalOps(const Transaction& txn, const RouterTable& table, NodeId node) {
   int n = 0;
   for (PartitionId pid : txn.Partitions())
-    if (table.PrimaryOf(pid) == node) n += static_cast<int>(txn.OpsOn(pid).size());
+    if (table.PrimaryOf(pid) == node) n += txn.OpsOn(pid).size();
   return n;
 }
 }  // namespace
@@ -115,8 +115,9 @@ void CalvinProtocol::RunDeterministic(Item item) {
   // Lock acquisition through each participant's single-threaded manager, in
   // deterministic order (the batch arrives pre-ordered by the sequencer).
   for (NodeId np : participants) {
+    int local_ops = LocalOps(*txn, cluster_->router(), np);
     lock_managers_[np]->Submit(TaskPriority::kService,
-                               LocalOps(*txn, cluster_->router(), np) * config_.lock_cost_per_op,
+                               local_ops * config_.lock_cost_per_op,
                                [locks_pending, after_locks_shared]() {
                                  if (--(*locks_pending) == 0)
                                    (*after_locks_shared)();
