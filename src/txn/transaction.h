@@ -184,6 +184,7 @@ class Transaction {
     if (viewed_ops_ == ops_.size()) return;
     viewed_ops_ = ops_.size();
     parts_.clear();
+    parts_.reserve(ops_.size());
     for (const Operation& op : ops_) parts_.push_back(op.partition);
     std::sort(parts_.begin(), parts_.end());
     parts_.erase(std::unique(parts_.begin(), parts_.end()), parts_.end());

@@ -25,8 +25,6 @@ struct TwoPhaseEngine::Ctx {
   SimTime exec_end = 0;
   SimTime commit_end = 0;
   SimTime repl_wait = 0;  // prepare-phase secondary-ack wait (summed)
-
-  const std::vector<PartitionId>& parts() const { return txn->Partitions(); }
 };
 
 TwoPhaseEngine::TwoPhaseEngine(Cluster* cluster, MetricsCollector* metrics)
@@ -61,8 +59,8 @@ void TwoPhaseEngine::Run(Transaction* txn, NodeId coordinator,
 }
 
 void TwoPhaseEngine::StartExecution(const std::shared_ptr<Ctx>& ctx) {
-  ctx->pending = static_cast<int>(ctx->parts().size());
-  for (PartitionId pid : ctx->parts()) ExecutePartition(ctx, pid);
+  ctx->pending = static_cast<int>(ctx->txn->Partitions().size());
+  for (PartitionId pid : ctx->txn->Partitions()) ExecutePartition(ctx, pid);
 }
 
 void TwoPhaseEngine::ExecutePartition(const std::shared_ptr<Ctx>& ctx,
@@ -123,14 +121,15 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
   const ClusterConfig& cfg = cluster_->config();
   int total_ops = static_cast<int>(ctx->txn->ops().size());
   int total_writes = 0;
-  for (PartitionId pid : ctx->parts()) total_writes += ctx->txn->WritesOn(pid);
+  for (PartitionId pid : ctx->txn->Partitions())
+    total_writes += ctx->txn->WritesOn(pid);
   SimTime cost = total_ops * cfg.validation_cost_per_op + cfg.log_write_cost +
                  total_writes * cfg.op_local_cost;
 
   cluster_->pool(ctx->coord)->Submit(
       TaskPriority::kResume, cost, [this, ctx]() {
         bool ok = true;
-        for (PartitionId pid : ctx->parts()) {
+        for (PartitionId pid : ctx->txn->Partitions()) {
           if (!Occ::ValidateAndLock(cluster_->store(pid), ctx->txn)) {
             ok = false;
             break;
@@ -144,7 +143,7 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
           Finalize(ctx, false);
           return;
         }
-        for (PartitionId pid : ctx->parts()) {
+        for (PartitionId pid : ctx->txn->Partitions()) {
           Occ::ApplyAndUnlock(cluster_->store(pid), ctx->txn,
                               &cluster_->replication());
         }
@@ -156,9 +155,9 @@ void TwoPhaseEngine::RunSingleNodeCommit(const std::shared_ptr<Ctx>& ctx) {
 }
 
 void TwoPhaseEngine::StartPrepare(const std::shared_ptr<Ctx>& ctx) {
-  ctx->pending = static_cast<int>(ctx->parts().size());
+  ctx->pending = static_cast<int>(ctx->txn->Partitions().size());
   ctx->vote_failed = false;
-  for (PartitionId pid : ctx->parts()) PreparePartition(ctx, pid);
+  for (PartitionId pid : ctx->txn->Partitions()) PreparePartition(ctx, pid);
 }
 
 void TwoPhaseEngine::PreparePartition(const std::shared_ptr<Ctx>& ctx,
@@ -242,8 +241,8 @@ void TwoPhaseEngine::OnVote(const std::shared_ptr<Ctx>& ctx, bool yes) {
 
 void TwoPhaseEngine::StartCommit(const std::shared_ptr<Ctx>& ctx) {
   const ClusterConfig& cfg = cluster_->config();
-  ctx->pending = static_cast<int>(ctx->parts().size());
-  for (PartitionId pid : ctx->parts()) {
+  ctx->pending = static_cast<int>(ctx->txn->Partitions().size());
+  for (PartitionId pid : ctx->txn->Partitions()) {
     NodeId participant = cluster_->router().PrimaryOf(pid);
     int n_writes = ctx->txn->WritesOn(pid);
     SimTime apply_cost = cfg.log_write_cost + n_writes * cfg.op_local_cost;
